@@ -51,8 +51,24 @@ Airfoil::Airfoil(Mesh mesh, const Options& opts) : mesh_(std::move(mesh)) {
 void Airfoil::enable_distributed(int nranks,
                                  apl::graph::PartitionMethod method,
                                  apl::exec::Backend node_backend) {
+  // Coordinate partitioners (RCB) need a point per cell: the centroid of
+  // its four nodes. Declared only here, so single-node runs carry no
+  // extra dat.
+  const op2::DatBase* coords = nullptr;
+  if (method == apl::graph::PartitionMethod::kRcb) {
+    const std::vector<double> xs = x_->to_vector();
+    std::vector<double> centroid(static_cast<std::size_t>(cells_->size()) * 2);
+    for (index_t c = 0; c < cells_->size(); ++c) {
+      for (index_t k = 0; k < 4; ++k) {
+        const auto n = static_cast<std::size_t>(cell2node_->at(c, k));
+        centroid[2 * c] += 0.25 * xs[2 * n];
+        centroid[2 * c + 1] += 0.25 * xs[2 * n + 1];
+      }
+    }
+    coords = &ctx_.decl_dat<double>(*cells_, 2, centroid, "centroid");
+  }
   dist_ = std::make_unique<op2::Distributed>(ctx_, nranks, method, *cells_,
-                                             nullptr);
+                                             coords);
   dist_->set_node_backend(node_backend);
 }
 

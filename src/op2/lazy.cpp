@@ -34,10 +34,6 @@ constexpr std::uint64_t kTileCacheBudget = 256u * 1024u;
 /// Below this, per-tile overhead dominates any reuse win.
 constexpr index_t kMinTileElems = 64;
 
-index_t resolve_entry(const Context& ctx, const ArgInfo& a, index_t e) {
-  return a.indirect() ? ctx.map(a.map_id).at(e, a.idx) : e;
-}
-
 int traffic_passes(apl::exec::Access acc) {
   return (reads(acc) ? 1 : 0) + (writes(acc) ? 1 : 0);
 }
@@ -61,26 +57,56 @@ std::uint64_t streaming_bytes(const std::vector<LoopRecord>& chain) {
 /// entry under the schedule built so far); the stamp arrays dedup the
 /// traffic projection (one count per (entry, loop) eagerly, one per
 /// (entry, tile) fused); the level arrays drive the layered coloring.
+/// Each walk sizes only the arrays it uses (the audit needs no stamps).
 struct DatState {
+  std::size_t n = 0;  ///< entries in the dat's set
   std::vector<index_t> last_w, last_r;
   std::vector<index_t> eager_r, eager_w;  // stamp: last loop that counted
   std::vector<index_t> fused_r, fused_w;  // stamp: last tile that counted
   std::vector<std::int32_t> wlev, rlev;  // highest color that wrote/read entry
 };
 
-DatState& state_of(const Context& ctx, std::map<index_t, DatState>& states,
-                   const ArgInfo& a) {
-  DatState& st = states[a.dat_id];
-  if (st.last_w.empty()) {
-    const auto sz = static_cast<std::size_t>(ctx.dat(a.dat_id).set().size());
-    st.last_w.assign(sz, -1);
-    st.last_r.assign(sz, -1);
-    st.eager_r.assign(sz, -1);
-    st.eager_w.assign(sz, -1);
-    st.fused_r.assign(sz, -1);
-    st.fused_w.assign(sz, -1);
+/// One non-global argument resolved once per loop, so the per-element
+/// walks index raw arrays instead of looking up the dat state and the map
+/// for every (element, argument) pair — the idiom SeqArgState uses in
+/// op2/par_loop.hpp.
+struct ArgView {
+  DatState* st;
+  const index_t* table;  ///< nullptr for direct args
+  index_t arity, idx;
+  bool rd, wr;
+  std::uint64_t entry_bytes;
+  index_t dat_id;  ///< for diagnostics only
+
+  std::size_t entry(index_t e) const {
+    return static_cast<std::size_t>(
+        table != nullptr ? table[static_cast<std::size_t>(e) * arity + idx]
+                         : e);
   }
-  return st;
+};
+
+/// Per-dat state keyed by dat id (node addresses are stable, so views may
+/// point into it), and each loop's resolved arguments.
+using DatStates = std::map<index_t, DatState>;
+using ChainViews = std::vector<std::vector<ArgView>>;
+
+ChainViews resolve_chain(const Context& ctx,
+                         const std::vector<LoopRecord>& chain,
+                         DatStates& states) {
+  ChainViews views(chain.size());
+  for (std::size_t l = 0; l < chain.size(); ++l) {
+    for (const ArgInfo& a : chain[l].infos) {
+      if (a.is_gbl) continue;
+      DatState& st = states[a.dat_id];
+      st.n = static_cast<std::size_t>(ctx.dat(a.dat_id).set().size());
+      const Map* m = a.indirect() ? &ctx.map(a.map_id) : nullptr;
+      views[l].push_back(ArgView{
+          &st, m != nullptr ? m->table().data() : nullptr,
+          m != nullptr ? m->arity() : 0, a.idx, reads(a.acc), writes(a.acc),
+          static_cast<std::uint64_t>(a.dim) * a.elem_bytes, a.dat_id});
+    }
+  }
+  return views;
 }
 
 TileSchedule unfused_schedule(const std::vector<LoopRecord>& chain) {
@@ -131,44 +157,35 @@ index_t auto_tile_elems(const Context& ctx,
 /// conflict-free but NOT order-preserving (a low color can be reused by
 /// a tile that depends on a higher-colored predecessor), so it could
 /// only ever be raced against, never replayed exactly.
-void color_tiles(const Context& ctx, const std::vector<LoopRecord>& chain,
-                 std::map<index_t, DatState>& states, TileSchedule& s) {
+void color_tiles(const ChainViews& views, DatStates& states, TileSchedule& s) {
   const index_t T = s.ntiles;
   for (auto& [id, st] : states) {
-    st.wlev.assign(st.last_w.size(), -1);
-    st.rlev.assign(st.last_w.size(), -1);
+    st.wlev.assign(st.n, -1);
+    st.rlev.assign(st.n, -1);
   }
   s.colors.assign(static_cast<std::size_t>(T), 0);
   std::int32_t ncolors = 1;
   for (index_t t = 0; t < T; ++t) {
     // Check phase: the level every conflict with earlier tiles forces.
     std::int32_t level = 0;
-    for (std::size_t l = 0; l < chain.size(); ++l) {
-      const LoopRecord& rec = chain[l];
+    for (std::size_t l = 0; l < views.size(); ++l) {
       for (index_t e = s.bounds[l][t]; e < s.bounds[l][t + 1]; ++e) {
-        for (const ArgInfo& a : rec.infos) {
-          if (a.is_gbl) continue;
-          DatState& st = states[a.dat_id];
-          const auto x =
-              static_cast<std::size_t>(resolve_entry(ctx, a, e));
-          level = std::max(level, st.wlev[x] + 1);
-          if (writes(a.acc)) level = std::max(level, st.rlev[x] + 1);
+        for (const ArgView& v : views[l]) {
+          const std::size_t x = v.entry(e);
+          level = std::max(level, v.st->wlev[x] + 1);
+          if (v.wr) level = std::max(level, v.st->rlev[x] + 1);
         }
       }
     }
     // Commit phase: this tile's accesses constrain later tiles. Separate
     // from the check so a tile's own earlier loops never push its later
     // loops to a higher level (intra-tile chain order handles those).
-    for (std::size_t l = 0; l < chain.size(); ++l) {
-      const LoopRecord& rec = chain[l];
+    for (std::size_t l = 0; l < views.size(); ++l) {
       for (index_t e = s.bounds[l][t]; e < s.bounds[l][t + 1]; ++e) {
-        for (const ArgInfo& a : rec.infos) {
-          if (a.is_gbl) continue;
-          DatState& st = states[a.dat_id];
-          const auto x =
-              static_cast<std::size_t>(resolve_entry(ctx, a, e));
-          if (reads(a.acc)) st.rlev[x] = std::max(st.rlev[x], level);
-          if (writes(a.acc)) st.wlev[x] = std::max(st.wlev[x], level);
+        for (const ArgView& v : views[l]) {
+          const std::size_t x = v.entry(e);
+          if (v.rd) v.st->rlev[x] = std::max(v.st->rlev[x], level);
+          if (v.wr) v.st->wlev[x] = std::max(v.st->wlev[x], level);
         }
       }
     }
@@ -563,44 +580,39 @@ std::string audit_tile_schedule(const Context& ctx,
   // exactly the wavefront constraint the inspector enforced, recomputed
   // from the maps — a decoded-from-disk schedule gets the same proof as a
   // fresh one.
-  std::map<index_t, std::vector<index_t>> last_w, last_r;
-  auto entry_state = [&](std::map<index_t, std::vector<index_t>>& m,
-                         const ArgInfo& a) -> std::vector<index_t>& {
-    auto& v = m[a.dat_id];
-    if (v.empty()) {
-      v.assign(static_cast<std::size_t>(ctx.dat(a.dat_id).set().size()), -1);
-    }
-    return v;
-  };
+  DatStates states;
+  const ChainViews views = resolve_chain(ctx, chain, states);
+  for (auto& [id, st] : states) {
+    st.last_w.assign(st.n, -1);
+    st.last_r.assign(st.n, -1);
+  }
   for (std::size_t l = 0; l < chain.size(); ++l) {
     const LoopRecord& rec = chain[l];
     for (index_t t = 0; t < sched.ntiles; ++t) {
       for (index_t e = sched.bounds[l][t]; e < sched.bounds[l][t + 1]; ++e) {
-        for (const ArgInfo& a : rec.infos) {
-          if (a.is_gbl) continue;
-          const index_t x = resolve_entry(ctx, a, e);
-          auto& lw = entry_state(last_w, a);
-          auto& lr = entry_state(last_r, a);
-          const auto xi = static_cast<std::size_t>(x);
-          if (reads(a.acc) && lw[xi] > t) {
+        for (const ArgView& v : views[l]) {
+          const std::size_t xi = v.entry(e);
+          index_t& lw = v.st->last_w[xi];
+          index_t& lr = v.st->last_r[xi];
+          if (v.rd && lw > t) {
             return "loop '" + rec.name + "' dat '" +
-                   ctx.dat(a.dat_id).name() + "': element " +
-                   std::to_string(e) + " (entry " + std::to_string(x) +
+                   ctx.dat(v.dat_id).name() + "': element " +
+                   std::to_string(e) + " (entry " + std::to_string(xi) +
                    ") reads in tile " + std::to_string(t) +
                    " but the entry is written in tile " +
-                   std::to_string(lw[xi]) +
+                   std::to_string(lw) +
                    " — dependence crosses a tile boundary backwards";
           }
-          if (writes(a.acc) && std::max(lw[xi], lr[xi]) > t) {
+          if (v.wr && std::max(lw, lr) > t) {
             return "loop '" + rec.name + "' dat '" +
-                   ctx.dat(a.dat_id).name() + "': element " +
-                   std::to_string(e) + " (entry " + std::to_string(x) +
+                   ctx.dat(v.dat_id).name() + "': element " +
+                   std::to_string(e) + " (entry " + std::to_string(xi) +
                    ") writes in tile " + std::to_string(t) +
                    " but the entry is still live in tile " +
-                   std::to_string(std::max(lw[xi], lr[xi]));
+                   std::to_string(std::max(lw, lr));
           }
-          if (reads(a.acc)) lr[xi] = std::max(lr[xi], t);
-          if (writes(a.acc)) lw[xi] = std::max(lw[xi], t);
+          if (v.rd) lr = std::max(lr, t);
+          if (v.wr) lw = std::max(lw, t);
         }
       }
     }
@@ -616,41 +628,32 @@ std::string audit_tile_schedule(const Context& ctx,
   if (sched.colors.size() != static_cast<std::size_t>(sched.ntiles)) {
     return "color table has wrong size";
   }
-  std::map<index_t, std::vector<std::int32_t>> wcol, rcol;
-  auto color_state = [&](std::map<index_t, std::vector<std::int32_t>>& m,
-                         const ArgInfo& a) -> std::vector<std::int32_t>& {
-    auto& v = m[a.dat_id];
-    if (v.empty()) {
-      v.assign(static_cast<std::size_t>(ctx.dat(a.dat_id).set().size()), -1);
-    }
-    return v;
-  };
+  for (auto& [id, st] : states) {
+    st.wlev.assign(st.n, -1);
+    st.rlev.assign(st.n, -1);
+  }
   for (index_t t = 0; t < sched.ntiles; ++t) {
     const std::int32_t c = sched.colors[t];
     if (c < 0 || c >= sched.ncolors) {
       return "tile " + std::to_string(t) + " color out of range";
     }
     for (std::size_t l = 0; l < chain.size(); ++l) {
-      const LoopRecord& rec = chain[l];
       for (index_t e = sched.bounds[l][t]; e < sched.bounds[l][t + 1]; ++e) {
-        for (const ArgInfo& a : rec.infos) {
-          if (a.is_gbl) continue;
-          const index_t x = resolve_entry(ctx, a, e);
-          const auto xi = static_cast<std::size_t>(x);
-          const std::int32_t w = color_state(wcol, a)[xi];
-          const std::int32_t r = color_state(rcol, a)[xi];
-          if (reads(a.acc) && w >= c) {
+        for (const ArgView& v : views[l]) {
+          const std::size_t xi = v.entry(e);
+          const std::int32_t w = v.st->wlev[xi];
+          const std::int32_t r = v.st->rlev[xi];
+          if (v.rd && w >= c) {
             return "tile " + std::to_string(t) + " (color " +
                    std::to_string(c) + ") reads dat '" +
-                   ctx.dat(a.dat_id).name() + "' entry " + std::to_string(x) +
-                   " written by an earlier tile of color " +
-                   std::to_string(w) +
+                   ctx.dat(v.dat_id).name() + "' entry " + std::to_string(xi) +
+                   " written by an earlier tile of color " + std::to_string(w) +
                    " — round execution would not order the producer first";
           }
-          if (writes(a.acc) && std::max(w, r) >= c) {
+          if (v.wr && std::max(w, r) >= c) {
             return "tile " + std::to_string(t) + " (color " +
                    std::to_string(c) + ") writes dat '" +
-                   ctx.dat(a.dat_id).name() + "' entry " + std::to_string(x) +
+                   ctx.dat(v.dat_id).name() + "' entry " + std::to_string(xi) +
                    " still live in an earlier tile of color " +
                    std::to_string(std::max(w, r)) +
                    " — round execution would race or reorder the conflict";
@@ -659,20 +662,11 @@ std::string audit_tile_schedule(const Context& ctx,
       }
     }
     for (std::size_t l = 0; l < chain.size(); ++l) {
-      const LoopRecord& rec = chain[l];
       for (index_t e = sched.bounds[l][t]; e < sched.bounds[l][t + 1]; ++e) {
-        for (const ArgInfo& a : rec.infos) {
-          if (a.is_gbl) continue;
-          const auto xi =
-              static_cast<std::size_t>(resolve_entry(ctx, a, e));
-          if (reads(a.acc)) {
-            auto& v = color_state(rcol, a);
-            v[xi] = std::max(v[xi], c);
-          }
-          if (writes(a.acc)) {
-            auto& v = color_state(wcol, a);
-            v[xi] = std::max(v[xi], c);
-          }
+        for (const ArgView& v : views[l]) {
+          const std::size_t xi = v.entry(e);
+          if (v.rd) v.st->rlev[xi] = std::max(v.st->rlev[xi], c);
+          if (v.wr) v.st->wlev[xi] = std::max(v.st->wlev[xi], c);
         }
       }
     }
@@ -705,10 +699,17 @@ TileSchedule build_tile_schedule(const Context& ctx,
   for (const LoopRecord& rec : chain) s.loop_n.push_back(rec.n);
   s.bounds.assign(chain.size(), {});
 
-  std::map<index_t, DatState> states;
+  DatStates states;
+  const ChainViews views = resolve_chain(ctx, chain, states);
+  for (auto& [id, st] : states) {
+    for (auto* v : {&st.last_w, &st.last_r, &st.eager_r, &st.eager_w,
+                    &st.fused_r, &st.fused_w}) {
+      v->assign(st.n, -1);
+    }
+  }
   for (std::size_t l = 0; l < chain.size(); ++l) {
-    const LoopRecord& rec = chain[l];
-    const index_t n = rec.n;
+    const std::vector<ArgView>& args = views[l];
+    const index_t n = chain[l].n;
     std::vector<index_t> tile(static_cast<std::size_t>(std::max<index_t>(n, 0)));
 
     // Phase 1: per element, start from the balanced seed tile and raise
@@ -718,20 +719,18 @@ TileSchedule build_tile_schedule(const Context& ctx,
     for (index_t e = 0; e < n; ++e) {
       index_t t = static_cast<index_t>(
           (static_cast<std::int64_t>(e) * T) / std::max<index_t>(n, 1));
-      for (const ArgInfo& a : rec.infos) {
-        if (a.is_gbl) continue;
-        DatState& st = state_of(ctx, states, a);
-        const auto x = static_cast<std::size_t>(resolve_entry(ctx, a, e));
-        if (reads(a.acc)) {
-          index_t w = st.last_w[x];
+      for (const ArgView& v : args) {
+        const std::size_t x = v.entry(e);
+        if (v.rd) {
+          index_t w = v.st->last_w[x];
 #ifdef APL_MUTATE_OP2_TILE_SKEW
           // Mutation: off-by-one wavefront on gathers — an indirect read
           // may land one tile before its producer.
-          if (a.indirect()) w -= 1;
+          if (v.table != nullptr) w -= 1;
 #endif
           t = std::max(t, w);
         }
-        if (writes(a.acc)) t = std::max({t, st.last_w[x], st.last_r[x]});
+        if (v.wr) t = std::max({t, v.st->last_w[x], v.st->last_r[x]});
       }
       tile[static_cast<std::size_t>(e)] = t;
     }
@@ -761,34 +760,31 @@ TileSchedule build_tile_schedule(const Context& ctx,
     // constraints for later loops and the traffic stamps (each entry
     // counts once per (loop, pass) eagerly vs once per (tile, pass)
     // fused; the gap is exactly the cross-loop reuse fusion captures).
+    const auto li = static_cast<index_t>(l);
     for (index_t e = 0; e < n; ++e) {
       const index_t t = tile[static_cast<std::size_t>(e)];
-      for (const ArgInfo& a : rec.infos) {
-        if (a.is_gbl) continue;
-        DatState& st = state_of(ctx, states, a);
-        const auto x = static_cast<std::size_t>(resolve_entry(ctx, a, e));
-        const std::uint64_t eb =
-            static_cast<std::uint64_t>(a.dim) * a.elem_bytes;
-        const auto li = static_cast<index_t>(l);
-        if (reads(a.acc)) {
+      for (const ArgView& v : args) {
+        DatState& st = *v.st;
+        const std::size_t x = v.entry(e);
+        if (v.rd) {
           if (st.eager_r[x] != li) {
             st.eager_r[x] = li;
-            s.eager_bytes += eb;
+            s.eager_bytes += v.entry_bytes;
           }
           if (st.fused_r[x] != t) {
             st.fused_r[x] = t;
-            s.fused_bytes += eb;
+            s.fused_bytes += v.entry_bytes;
           }
           st.last_r[x] = std::max(st.last_r[x], t);
         }
-        if (writes(a.acc)) {
+        if (v.wr) {
           if (st.eager_w[x] != li) {
             st.eager_w[x] = li;
-            s.eager_bytes += eb;
+            s.eager_bytes += v.entry_bytes;
           }
           if (st.fused_w[x] != t) {
             st.fused_w[x] = t;
-            s.fused_bytes += eb;
+            s.fused_bytes += v.entry_bytes;
           }
           st.last_w[x] = std::max(st.last_w[x], t);
         }
@@ -804,7 +800,7 @@ TileSchedule build_tile_schedule(const Context& ctx,
     return unfused_schedule(chain);
   }
 
-  color_tiles(ctx, chain, states, s);
+  color_tiles(views, states, s);
   return s;
 }
 

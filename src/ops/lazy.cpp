@@ -799,10 +799,6 @@ void flush_pending(Context& ctx) { ctx.flush(); }
 
 void execute_chain(Context& ctx, std::vector<LoopRecord> chain,
                    ChainStats& stats) {
-  // A chain flush is a checkpointable boundary: cancellation (and the
-  // preemption flag a scheduler polls) take effect here, before any tile
-  // of the chain has executed.
-  apl::cancel::point("chain_flush");
   // One span per flush; the per-slice kTile spans the record executors
   // open (ops/par_loop.hpp) nest inside it.
   apl::trace::Span chain_span(apl::trace::kChain, "chain_flush");
@@ -842,13 +838,23 @@ void Context::enqueue(LoopRecord rec) {
 
 void Context::do_flush() {
   if (chain_.empty() || chain_executing_) return;
+  // A chain flush is a checkpointable boundary: cancellation (and the
+  // preemption flag a scheduler polls) take effect here, while the queue
+  // is still intact — a cancelled flush drops no loop, and the next flush
+  // runs the whole chain.
+  apl::cancel::point("chain_flush");
   std::vector<LoopRecord> chain = std::move(chain_);
   chain_.clear();
   chain_executing_ = true;
   update_pending();
+  struct Guard {
+    Context* c;
+    ~Guard() {
+      c->chain_executing_ = false;
+      c->update_pending();
+    }
+  } guard{this};
   detail::execute_chain(*this, std::move(chain), chain_stats_);
-  chain_executing_ = false;
-  update_pending();
 }
 
 }  // namespace ops

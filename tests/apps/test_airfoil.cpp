@@ -6,9 +6,12 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <numeric>
 
 #include <gtest/gtest.h>
+
+#include "apl/testkit/oracle.hpp"
 
 namespace {
 
@@ -202,6 +205,34 @@ TEST(AirfoilDistributed, HybridThreadsMatches) {
   app.enable_distributed(3, apl::graph::PartitionMethod::kKway,
                          apl::exec::Backend::kThreads);
   EXPECT_NEAR(app.run(10), rms_ref, 1e-9 * (1 + rms_ref));
+}
+
+TEST(AirfoilDistributed, RcbMatchesSequentialWithinUlps) {
+  Airfoil ref(small_opts());
+  const double rms_ref = ref.run(15);
+  const auto q_ref = ref.solution();
+
+  // RCB partitions by coordinates: enable_distributed supplies the cell
+  // centroids, so a coordinate partitioner needs nothing from the caller.
+  Airfoil app(small_opts());
+  app.enable_distributed(2, apl::graph::PartitionMethod::kRcb);
+  const double rms = app.run(15);
+  const auto q = app.solution();
+  // Cross-rank increments reassociate, so the bound is the testkit's
+  // reassociation budget rather than bitwise. Near-zero momentum entries
+  // are differences of O(1) fluxes, so their ULPs are counted at the
+  // operands' scale 1 + |ref|: counted per value, even the k-way run
+  // is hundreds of thousands of ULPs off there.
+  const std::int64_t max_ulps = apl::testkit::OracleOptions{}.max_ulps;
+  EXPECT_TRUE(apl::testkit::values_agree(rms_ref, rms, true, max_ulps))
+      << apl::testkit::ulp_distance(rms_ref, rms) << " ulps";
+  const double tol = static_cast<double>(max_ulps) *
+                     std::numeric_limits<double>::epsilon();
+  ASSERT_EQ(q.size(), q_ref.size());
+  for (std::size_t i = 0; i < q_ref.size(); ++i) {
+    ASSERT_LE(std::abs(q[i] - q_ref[i]), tol * (1 + std::abs(q_ref[i])))
+        << i;
+  }
 }
 
 TEST(AirfoilDistributed, HaloTrafficScalesWithBoundary) {

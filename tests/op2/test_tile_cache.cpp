@@ -3,17 +3,24 @@
 // robustness sweep included), the race/dependence audit, plan_for
 // memoization, the warm-start differential (zero inspector runs on the
 // warm side, bitwise-identical results), IR-version partitioning, and the
-// corrupt-entry fallback to a fresh inspection with a named diagnostic.
+// corrupt-entry fallback to a fresh inspection with a named diagnostic,
+// and the inspector's output pinned byte for byte on fixed inputs.
+#include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "airfoil/airfoil.hpp"
 #include "apl/fault.hpp"
 #include "apl/io/plan_cache.hpp"
+#include "apl/signature.hpp"
 #include "apl/trace.hpp"
 #include "op2/op2.hpp"
 
@@ -82,32 +89,38 @@ std::unique_ptr<LazySys> build_sys() {
 
 /// Three steps of relax -> gather -> scatter with no flush in between: a
 /// 9-loop chain whose cross-loop dependences run both directions through
-/// the map. Returns x ++ y after the final flush.
-std::vector<double> run_program(bool lazy, op2::index_t tile = 5) {
-  auto s = build_sys();
-  if (tile > 0) s->ctx.set_tile_size(tile);
-  if (lazy) s->ctx.set_lazy(true);
+/// the map.
+void enqueue_program(LazySys& s) {
   for (int step = 0; step < 3; ++step) {
     op2::par_loop(
-        s->ctx, "relax", *s->nodes,
+        s.ctx, "relax", *s.nodes,
         [](op2::Acc<double> v) { v[0] = 0.5 * v[0] + 0.25; },
-        op2::arg(*s->x, Access::kRW));
+        op2::arg(*s.x, Access::kRW));
     op2::par_loop(
-        s->ctx, "gather", *s->edges,
+        s.ctx, "gather", *s.edges,
         [](op2::Acc<double> w, op2::Acc<double> a, op2::Acc<double> b) {
           w[0] = a[0] + b[0];
         },
-        op2::arg(*s->y, Access::kWrite), op2::arg(*s->x, *s->e2n, 0, Access::kRead),
-        op2::arg(*s->x, *s->e2n, 1, Access::kRead));
+        op2::arg(*s.y, Access::kWrite), op2::arg(*s.x, *s.e2n, 0, Access::kRead),
+        op2::arg(*s.x, *s.e2n, 1, Access::kRead));
     op2::par_loop(
-        s->ctx, "scatter", *s->edges,
+        s.ctx, "scatter", *s.edges,
         [](op2::Acc<double> w, op2::Acc<double> a, op2::Acc<double> b) {
           a[0] += 0.125 * w[0];
           b[0] += 0.125 * w[0];
         },
-        op2::arg(*s->y, Access::kRead), op2::arg(*s->x, *s->e2n, 0, Access::kInc),
-        op2::arg(*s->x, *s->e2n, 1, Access::kInc));
+        op2::arg(*s.y, Access::kRead), op2::arg(*s.x, *s.e2n, 0, Access::kInc),
+        op2::arg(*s.x, *s.e2n, 1, Access::kInc));
   }
+}
+
+/// Runs the program (lazy: as one chain at tile size `tile`); returns
+/// x ++ y after the final flush.
+std::vector<double> run_program(bool lazy, op2::index_t tile = 5) {
+  auto s = build_sys();
+  if (tile > 0) s->ctx.set_tile_size(tile);
+  if (lazy) s->ctx.set_lazy(true);
+  enqueue_program(*s);
   s->ctx.flush();
   std::vector<double> out = s->x->to_vector();
   const std::vector<double> ye = s->y->to_vector();
@@ -357,6 +370,90 @@ TEST(TileCacheWarm, CorruptEntryFallsBackToFreshInspection) {
   EXPECT_FALSE(Store::global().last_diagnostic().empty());
   EXPECT_TRUE(bitwise_equal(baseline, warm))
       << "corrupt cache entry altered results";
+}
+
+// ---- pinned schedules -------------------------------------------------------
+
+/// Hex fnv1a of every op2chain IR payload persisted under `dir`, in file
+/// name order (the name carries the topology, program and config hashes,
+/// so the order is fixed by the chains, not by the schedules).
+std::vector<std::string> chain_ir_hashes(const std::string& dir) {
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("op2chain-", 0) == 0) files.push_back(entry.path().string());
+  }
+  std::sort(files.begin(), files.end());
+  // Container header (plan_cache.hpp): magic, two u32 versions, three u64
+  // hashes, u64 payload size, u32 crc — then the payload itself.
+  constexpr std::size_t kHeader = 48;
+  constexpr std::size_t kSizeOffset = 36;
+  std::vector<std::string> hashes;
+  for (const std::string& f : files) {
+    std::ifstream in(f, std::ios::binary);
+    const std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
+                                          std::istreambuf_iterator<char>()};
+    EXPECT_GE(bytes.size(), kHeader) << f;
+    if (bytes.size() < kHeader) continue;
+    std::uint64_t payload_bytes = 0;
+    std::memcpy(&payload_bytes, bytes.data() + kSizeOffset,
+                sizeof(payload_bytes));
+    EXPECT_EQ(payload_bytes, bytes.size() - kHeader) << f;
+    const std::span<const std::uint8_t> payload(bytes.data() + kHeader,
+                                                bytes.size() - kHeader);
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(
+                      apl::signature::fnv1a(payload)));
+    hashes.emplace_back(hex);
+  }
+  return hashes;
+}
+
+/// Verify checks for a pinned run: the kPlan audit on every schedule the
+/// inspector builds (a violation throws out of the flush), minus kAccess,
+/// which would turn every lazy loop eager.
+unsigned pinned_checks(unsigned env_checks) {
+  return (env_checks & ~apl::verify::kAccess) | apl::verify::kPlan;
+}
+
+// The inspector's output on fixed inputs is part of the IR contract: a
+// change to how schedules are computed must leave these bytes alone
+// unless it also bumps op2::kPlanIrVersion (else a warm start replays
+// schedules a cold start no longer builds). The kPlan audit runs on each
+// schedule.
+TEST(TilePinned, LazySystemScheduleBytes) {
+  CacheDir cache("op2_tile_pinned_sys");
+  auto s = build_sys();
+  s->ctx.set_verify(pinned_checks(s->ctx.verify_checks()));
+  s->ctx.set_tile_size(5);
+  s->ctx.set_lazy(true);
+  enqueue_program(*s);
+  s->ctx.flush();
+  EXPECT_TRUE(s->ctx.verify_report().empty());
+  EXPECT_EQ(s->ctx.chain_stats().verbatim, 0u);
+  EXPECT_EQ(chain_ir_hashes(cache.dir),
+            (std::vector<std::string>{"07b741088af8c153"}));
+}
+
+TEST(TilePinned, AirfoilChainScheduleBytes) {
+  CacheDir cache("op2_tile_pinned_airfoil");
+  airfoil::Airfoil::Options opts;
+  opts.nx = 120;
+  opts.ny = 60;
+  airfoil::Airfoil app(opts);
+  app.ctx().set_verify(pinned_checks(app.ctx().verify_checks()));
+  app.ctx().set_tile_size(1024);
+  app.ctx().set_lazy(true);
+  app.iteration();
+  // save_soln + (adt_calc, res_calc, bres_calc, update) and the second
+  // stage's four loops: the two chains the rms reduction cuts.
+  EXPECT_EQ(app.ctx().chain_stats().flushes, 2u);
+  EXPECT_EQ(app.ctx().chain_stats().verbatim, 0u);
+  EXPECT_TRUE(app.ctx().verify_report().empty());
+  EXPECT_EQ(chain_ir_hashes(cache.dir),
+            (std::vector<std::string>{"da74e88f3497c933",
+                                      "61073f27b170b71e"}));
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "apl/cancel.hpp"
 #include "apl/testkit/fixtures.hpp"
 #include "ops/ops.hpp"
 
@@ -248,6 +249,39 @@ TEST(OpsLazy, TilingReportsTrafficSavings) {
   // loops, so the tiled traffic model must come in under streaming.
   EXPECT_LT(st.tiled_bytes, st.eager_bytes);
   EXPECT_GT(st.traffic_saved_fraction(), 0.2);
+}
+
+// ---- cancellation -----------------------------------------------------------
+
+TEST(OpsLazy, CancelledFlushKeepsQueueAndContextUsable) {
+  Heat2D eager;
+  eager.init();
+  for (int s = 0; s < 3; ++s) eager.sweep();
+
+  Heat2D h;
+  h.ctx.set_lazy(true);
+  h.ctx.set_tile_rows(4);
+  h.init();
+  for (int s = 0; s < 3; ++s) h.sweep();
+  ASSERT_EQ(h.ctx.chain_length(), 7u);
+  {
+    apl::cancel::Token token;
+    apl::cancel::Scope scope(&token);
+    token.cancel(apl::cancel::Reason::kUser);
+    EXPECT_THROW(h.ctx.flush(), apl::cancel::Cancelled);
+  }
+  // The cancel took effect before the chain started: nothing ran and
+  // nothing was dropped.
+  EXPECT_EQ(h.ctx.chain_length(), 7u);
+  EXPECT_EQ(h.ctx.chain_stats().flushes, 0u);
+  EXPECT_FALSE(h.ctx.chain_executing());
+
+  apl::cancel::Token fresh;
+  apl::cancel::Scope scope(&fresh);
+  h.ctx.flush();
+  EXPECT_EQ(h.ctx.chain_length(), 0u);
+  EXPECT_EQ(h.ctx.chain_stats().loops, 7u);
+  EXPECT_EQ(h.u->to_vector(), eager.u->to_vector());
 }
 
 }  // namespace

@@ -83,6 +83,19 @@ TEST(ServeAdmission, PerfModelSizeGateRejectsTooLarge) {
   EXPECT_EQ(server.wait(id).state, State::kDone);
 }
 
+TEST(ServeAdmission, TwoRankAirfoilJobCompletes) {
+  // Multi-rank Airfoil jobs partition by RCB, which needs coordinates;
+  // the job must run to completion, not fail in set-up.
+  Server::Options opts;
+  opts.workers = 1;
+  Server server(opts);
+  apl::serve::AirfoilJob shape;
+  shape.nranks = 2;
+  const auto id = server.submit(apl::serve::make_airfoil_job("rcb2", shape));
+  const auto rep = server.wait(id);
+  EXPECT_EQ(rep.state, State::kDone) << rep.error;
+}
+
 TEST(ServeAdmission, DrainedServerRefusesNewJobs) {
   Server server(Server::Options{});
   server.drain();

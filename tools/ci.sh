@@ -75,6 +75,12 @@ OPAL_TRACE="$build/tier1.trace.json" ctest --test-dir "$build" -L tier1 \
 # rounds plus bitwise agreement there too.
 "$build/tools/bench_report" --check-op2-tiling
 
+# Benchmark stage: perfbench's own test builds the benchmark binary and
+# checks its output contract and planted-failure accounting (wrong fields,
+# wrong reductions, thrown jobs and wrong serve digests all count as
+# failed). It asserts no timings.
+CARGO_TARGET_DIR="$build/perfbench" python3 "$repo/perfbench/test_perfbench.py"
+
 # Perf-trajectory stage: regenerate the checked-in per-loop benchmark
 # record (Airfoil lazy-tiled + CloverLeaf eager/lazy, roofline join and
 # fused-chain columns included, plus the plan-analysis cold/warm,
