@@ -34,10 +34,13 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
+
+#include "apl/trace.hpp"
 
 namespace apl::plan_cache {
 
@@ -208,5 +211,40 @@ class Store {
   Stats stats_;
   std::string last_diagnostic_;
 };
+
+// --- load or build -----------------------------------------------------------
+
+/// The load-or-build sequence every plan_for shares, run after the
+/// caller's own memo missed: load `key` from `store` and decode it, or —
+/// on a miss, or a container-valid but IR-invalid payload (a hash
+/// collision, a builder bug), which is noted as corruption — run the
+/// inspector and persist its result. A hit is spanned as `hit_prefix` +
+/// key.label, carrying `elements`; `build` opens its own span. A disabled
+/// store goes straight to `build`.
+///
+///   decode(payload, &diag) -> std::optional<Plan>
+///   build()                -> Plan
+///   encode(const Plan&)    -> bytes
+template <class Plan, class Decode, class Build, class Encode>
+std::unique_ptr<Plan> load_or_build(Store& store, const Key& key,
+                                    const char* hit_prefix,
+                                    std::uint64_t elements, Decode&& decode,
+                                    Build&& build, Encode&& encode) {
+  if (store.enabled()) {
+    if (auto payload = store.load(key)) {
+      trace::Span span(trace::kPlan, hit_prefix + key.label);
+      std::string diag;
+      if (auto decoded = decode(*payload, &diag)) {
+        span.set_elements(elements);
+        span.set_bytes(payload->size());
+        return std::make_unique<Plan>(std::move(*decoded));
+      }
+      store.note_corrupt(diag);
+    }
+  }
+  auto plan = std::make_unique<Plan>(build());
+  if (store.enabled()) store.save(key, encode(*plan));
+  return plan;
+}
 
 }  // namespace apl::plan_cache

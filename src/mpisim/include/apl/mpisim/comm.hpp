@@ -19,6 +19,7 @@
 // epoch advances, and messages from dead epochs are rejected on receipt.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "apl/error.hpp"
+#include "apl/exec.hpp"
 #include "apl/fault.hpp"
 
 namespace apl::mpisim {
@@ -210,5 +212,36 @@ private:
   };
   std::set<DroppedKey> dropped_;
 };
+
+/// Finishes a distributed global reduction: `partials` holds one
+/// `dim`-wide row per rank (rank-major); they combine through one
+/// allreduce in rank order, and the result folds into `out` under the
+/// loop's access mode (kInc adds, kMin/kMax keep the extreme).
+template <class T>
+void allreduce_into(Comm& comm, exec::Access acc,
+                    const std::vector<T>& partials, int dim, T* out) {
+  using Op = Comm::ReduceOp;
+  const Op op = acc == exec::Access::kInc   ? Op::kSum
+                : acc == exec::Access::kMin ? Op::kMin
+                                            : Op::kMax;
+  std::vector<double> contrib(dim);
+  for (int r = 0; r < comm.size(); ++r) {
+    for (int d = 0; d < dim; ++d) {
+      contrib[d] =
+          static_cast<double>(partials[static_cast<std::size_t>(r) * dim + d]);
+    }
+    comm.allreduce_begin(r, contrib, op);
+  }
+  const std::vector<double> result = comm.allreduce_end();
+  for (int d = 0; d < dim; ++d) {
+    const T v = static_cast<T>(result[d]);
+    switch (acc) {
+      case exec::Access::kInc: out[d] += v; break;
+      case exec::Access::kMin: out[d] = std::min(out[d], v); break;
+      case exec::Access::kMax: out[d] = std::max(out[d], v); break;
+      default: break;
+    }
+  }
+}
 
 }  // namespace apl::mpisim

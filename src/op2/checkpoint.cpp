@@ -1,33 +1,6 @@
 #include "op2/checkpoint.hpp"
 
-#include "op2/context.hpp"
-
 namespace op2 {
-
-namespace {
-
-/// Packs a dat's logical content (AoS order) into bytes for the file.
-std::vector<std::uint8_t> pack_dat(const DatBase& dat) {
-  const std::size_t entry = dat.entry_bytes();
-  std::vector<std::uint8_t> out(static_cast<std::size_t>(dat.set().size()) *
-                                entry);
-  for (index_t e = 0; e < dat.set().size(); ++e) {
-    dat.pack_entry(e, out.data() + static_cast<std::size_t>(e) * entry);
-  }
-  return out;
-}
-
-void unpack_dat(DatBase& dat, std::span<const std::uint8_t> bytes) {
-  const std::size_t entry = dat.entry_bytes();
-  apl::require(bytes.size() ==
-                   static_cast<std::size_t>(dat.set().size()) * entry,
-               "checkpoint restore: dat '", dat.name(), "' size mismatch");
-  for (index_t e = 0; e < dat.set().size(); ++e) {
-    dat.unpack_entry(e, bytes.data() + static_cast<std::size_t>(e) * entry);
-  }
-}
-
-}  // namespace
 
 std::vector<apl::ckpt::ArgAccess> Checkpointer::project(
     const std::vector<ArgInfo>& args) {
@@ -48,146 +21,6 @@ std::vector<apl::ckpt::ArgAccess> Checkpointer::project(
     out.push_back(p);
   }
   return out;
-}
-
-Checkpointer::Checkpointer(Context& ctx, std::string path, Options opts)
-    : Checkpointer(ctx, std::move(path), opts, /*replay=*/false) {}
-
-Checkpointer::Checkpointer(Context& ctx, std::string path, Options opts,
-                           bool replay)
-    : ctx_(&ctx),
-      store_(std::move(path)),
-      opts_(opts),
-      analysis_(ctx.num_dats()) {
-  replaying_ = replay;
-  ctx.attach_checkpointer(this);
-}
-
-Checkpointer Checkpointer::restore(Context& ctx, std::string path,
-                                   Options opts) {
-  Checkpointer ck(ctx, std::move(path), opts, /*replay=*/true);
-  ck.replay_file_ = ck.store_.load();
-  const apl::io::File& file = ck.replay_file_;
-  const auto entry = file.get<std::int64_t>("meta/entry_loop");
-  apl::require(entry.size() == 1, "checkpoint: malformed entry_loop");
-  ck.replay_entry_seq_ = static_cast<index_t>(entry[0]);
-  // Global-output log: flat bytes + offsets + newline-joined loop names.
-  const auto offsets = file.get<std::int64_t>("meta/gbl_offsets");
-  const auto flat = file.get<std::uint8_t>("meta/gbl_log");
-  apl::require(!offsets.empty(), "checkpoint: malformed gbl_offsets");
-  for (std::size_t i = 0; i + 1 < offsets.size(); ++i) {
-    ck.replay_gbl_.emplace_back(flat.begin() + offsets[i],
-                                flat.begin() + offsets[i + 1]);
-  }
-  const auto names_bytes = file.get<std::uint8_t>("meta/loop_names");
-  std::string names(names_bytes.begin(), names_bytes.end());
-  for (std::size_t pos = 0; pos < names.size();) {
-    const std::size_t nl = names.find('\n', pos);
-    ck.replay_names_.push_back(names.substr(pos, nl - pos));
-    pos = (nl == std::string::npos) ? names.size() : nl + 1;
-  }
-  apl::require(static_cast<index_t>(ck.replay_gbl_.size()) ==
-                   ck.replay_entry_seq_,
-               "checkpoint: global log does not cover the fast-forward range");
-  return ck;
-}
-
-void Checkpointer::request_checkpoint() {
-  apl::require(!replaying_,
-               "request_checkpoint: still fast-forwarding a restarted run");
-  analysis_.request(to_ckpt_options(opts_));
-}
-
-void Checkpointer::finalize_checkpoint() {
-  apl::io::File file;
-  for (std::size_t i = 0; i < saved_dats_.size(); ++i) {
-    const DatBase& dat = ctx_->dat(saved_dats_[i]);
-    const auto& bytes = saved_payloads_[i];
-    file.put<std::uint8_t>("dat/" + dat.name(), bytes,
-                           {static_cast<std::uint64_t>(bytes.size())});
-  }
-  const index_t entry_seq = analysis_.entry_seq();
-  file.put<std::int64_t>(
-      "meta/entry_loop",
-      std::vector<std::int64_t>{static_cast<std::int64_t>(entry_seq)}, {1});
-  // Flatten the global-output log of loops [0, entry_seq).
-  const auto& chain = analysis_.chain();
-  std::vector<std::uint8_t> flat;
-  std::vector<std::int64_t> offsets{0};
-  std::string names;
-  for (index_t i = 0; i < entry_seq; ++i) {
-    flat.insert(flat.end(), gbl_log_[i].begin(), gbl_log_[i].end());
-    offsets.push_back(static_cast<std::int64_t>(flat.size()));
-    names += chain[i].name;
-    names += '\n';
-  }
-  if (flat.empty()) flat.push_back(0);  // h5lite rejects rank-0 payloads only
-  file.put<std::uint8_t>("meta/gbl_log", flat,
-                         {static_cast<std::uint64_t>(flat.size())});
-  file.put<std::int64_t>("meta/gbl_offsets", offsets,
-                         {static_cast<std::uint64_t>(offsets.size())});
-  std::vector<std::uint8_t> names_bytes(names.begin(), names.end());
-  if (names_bytes.empty()) names_bytes.push_back('\n');
-  file.put<std::uint8_t>("meta/loop_names", names_bytes,
-                         {static_cast<std::uint64_t>(names_bytes.size())});
-  store_.save(file);
-  saved_dats_.clear();
-  saved_payloads_.clear();
-  checkpoint_complete_ = true;
-}
-
-Checkpointer::LoopAction Checkpointer::on_loop(
-    const std::string& name, const std::vector<ArgInfo>& args) {
-  if (replaying_) {
-    // Replayed loops are logically part of the restarted run's history, so
-    // they are recorded too — a later checkpoint after a restart sees a
-    // consistent chain — but the save state machine stays out of it.
-    analysis_.record(name, project(args));
-    const index_t seq = analysis_.position();
-    if (seq < replay_entry_seq_) {
-      apl::require(name == replay_names_[seq],
-                   "checkpoint replay: expected loop '", replay_names_[seq],
-                   "' at position ", seq, " but application issued '", name,
-                   "' — the restarted run diverged");
-      return LoopAction::kSkipReplay;
-    }
-    // Reached the checkpoint entry: restore datasets, resume execution.
-    for (const auto& [key, ds] : replay_file_.all()) {
-      if (key.rfind("dat/", 0) != 0) continue;
-      DatBase* dat = ctx_->find_dat(key.substr(4));
-      apl::require(dat != nullptr, "checkpoint restore: unknown dat '",
-                   key.substr(4), "'");
-      unpack_dat(*dat, ds.bytes);
-    }
-    replaying_ = false;
-    return LoopAction::kExecute;
-  }
-
-  const apl::ckpt::ChainAnalysis::Step step =
-      analysis_.step(name, project(args), to_ckpt_options(opts_));
-  for (index_t d : step.save_now) {
-    // Pack *now*, before this loop executes: the dataset was untouched
-    // since the checkpoint entry, so its current bytes are the entry
-    // value the restart needs; the upcoming loop may modify it.
-    saved_dats_.push_back(d);
-    saved_payloads_.push_back(pack_dat(ctx_->dat(d)));
-  }
-  if (step.completed) finalize_checkpoint();
-  return LoopAction::kExecute;
-}
-
-void Checkpointer::after_loop(std::span<const std::uint8_t> gbl_payload) {
-  gbl_log_.emplace_back(gbl_payload.begin(), gbl_payload.end());
-  analysis_.advance();
-}
-
-std::span<const std::uint8_t> Checkpointer::replay_gbl_payload() const {
-  return replay_gbl_[analysis_.position()];
-}
-
-void Checkpointer::finish_replayed_loop() {
-  gbl_log_.push_back(replay_gbl_[analysis_.position()]);
-  analysis_.advance();
 }
 
 }  // namespace op2

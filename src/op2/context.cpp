@@ -181,7 +181,6 @@ const Plan& Context::plan_for(const PlanRequest& req) {
   const double t0 = apl::now_seconds();
   auto& store = apl::plan_cache::Store::current();
   apl::plan_cache::Key ck;
-  std::unique_ptr<Plan> plan;
   if (store.enabled()) {
     ck.kind = "op2";
     ck.topology = topology_hash();
@@ -194,32 +193,20 @@ const Plan& Context::plan_for(const PlanRequest& req) {
     ck.config = cfg.value();
     ck.version = kPlanIrVersion;
     ck.label = req.loop;
-    if (auto payload = store.load(ck)) {
-      apl::trace::Span span(apl::trace::kPlan, "plan_hit:" + req.loop);
-      std::string diag;
-      if (auto decoded = decode_plan(*payload, set.core_size(), &diag)) {
-        plan = std::make_unique<Plan>(std::move(*decoded));
+  }
+  std::unique_ptr<Plan> plan = apl::plan_cache::load_or_build<Plan>(
+      store, ck, "plan_hit:", static_cast<std::uint64_t>(set.size()),
+      [&](const std::vector<std::uint8_t>& payload, std::string* diag) {
+        return decode_plan(payload, set.core_size(), diag);
+      },
+      [&] {
+        // Plan construction is a cache miss: span it so first-call cost is
+        // distinguishable from steady-state color rounds in the trace.
+        apl::trace::Span span(apl::trace::kLoop, "plan:" + req.loop);
         span.set_elements(static_cast<std::uint64_t>(set.size()));
-        span.set_bytes(payload->size());
-      } else {
-        // Container-valid but IR-invalid (e.g. a hash collision or a
-        // builder bug): surface it like corruption and rebuild fresh.
-        store.note_corrupt(diag);
-      }
-    }
-  }
-  const bool built = plan == nullptr;
-  if (built) {
-    // Plan construction is a cache miss: span it so first-call cost is
-    // distinguishable from steady-state color rounds in the trace.
-    apl::trace::Span span(apl::trace::kLoop, "plan:" + req.loop);
-    plan = std::make_unique<Plan>(
-        detail::build_plan(*this, set, req.args, block_size));
-    span.set_elements(static_cast<std::uint64_t>(set.size()));
-  }
-  if (built && store.enabled()) {
-    store.save(ck, encode_plan(*plan));
-  }
+        return detail::build_plan(*this, set, req.args, block_size);
+      },
+      encode_plan);
   add_plan_seconds(apl::now_seconds() - t0);
 
   // Audit both paths in guarded mode: a deserialized plan is input from

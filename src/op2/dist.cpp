@@ -5,12 +5,10 @@
 #include <utility>
 
 #include "apl/cancel.hpp"
-#include "apl/fault.hpp"
 #include "apl/graph/csr.hpp"
 #include "apl/io/ckpt.hpp"
 #include "apl/io/plan_cache.hpp"
 #include "apl/mpisim/retry.hpp"
-#include "apl/resilience.hpp"
 #include "apl/signature.hpp"
 #include "op2/io.hpp"
 
@@ -30,7 +28,8 @@ constexpr std::uint32_t kTagOwner = 0x4F574E52;  // "OWNR"
 Distributed::Distributed(Context& ctx, int nranks,
                          apl::graph::PartitionMethod method,
                          const Set& base_set, const DatBase* coords)
-    : global_(&ctx), comm_(nranks), method_(method),
+    : Ladder("op2", ctx.profile()), global_(&ctx), comm_(nranks),
+      method_(method),
       base_set_id_(base_set.id()),
       coords_id_(coords != nullptr ? coords->id() : -1) {
   apl::require(nranks >= 1, "Distributed: need at least one rank");
@@ -529,27 +528,12 @@ void Distributed::scatter(DatBase& global_dat) {
   halo_dirty_[global_dat.id()] = 0;
 }
 
-void Distributed::checkpoint(apl::io::CheckpointStore& store,
-                             std::int64_t step) {
-  apl::trace::Span span(apl::trace::kCkpt, "dist_checkpoint");
-  apl::io::File file;
+void Distributed::dump_global(apl::io::File& file) {
   dump_dats(*this, file);  // fetch owner values, then dump the global dats
-  const std::vector<std::int64_t> stepv{step};
-  file.put<std::int64_t>("meta/step", stepv, {1});
-  // The writing rank count: restores onto a different count are legal
-  // (that is what shrink recovery does), but a layout mismatch diagnostic
-  // names both counts so cross-app restores are identifiable.
-  const std::vector<std::int64_t> ranksv{comm_.size()};
-  file.put<std::int64_t>("meta/nranks", ranksv, {1});
-  store.save(file);
 }
 
-void Distributed::validate_checkpoint_layout(const apl::io::File& file) const {
-  std::int64_t recorded = -1;
-  if (file.contains("meta/nranks")) {
-    const auto v = file.get<std::int64_t>("meta/nranks");
-    if (!v.empty()) recorded = v[0];
-  }
+void Distributed::validate_layout(const apl::io::File& file,
+                                  const std::string& origin) const {
   for (index_t d = 0; d < global_->num_dats(); ++d) {
     const DatBase& dat = global_->dat(d);
     const std::string key = "dat/" + dat.name();
@@ -560,11 +544,6 @@ void Distributed::validate_checkpoint_layout(const apl::io::File& file) const {
     const std::uint64_t found_n = ds.dims.empty() ? 0 : ds.dims[0];
     const std::uint64_t found_entry = ds.dims.size() > 1 ? ds.dims[1] : 0;
     if (found_n != expect_n || found_entry != expect_entry) {
-      std::string origin;
-      if (recorded >= 0) {
-        origin = " (checkpoint written at " + std::to_string(recorded) +
-                 " ranks; restoring at " + std::to_string(comm_.size()) + ")";
-      }
       apl::fail("checkpoint layout mismatch for dat '", dat.name(),
                 "': expected ", expect_n, " entries x ", expect_entry,
                 " bytes, found ", found_n, " x ", found_entry, origin);
@@ -572,47 +551,15 @@ void Distributed::validate_checkpoint_layout(const apl::io::File& file) const {
   }
 }
 
-std::int64_t Distributed::recover(apl::io::CheckpointStore& store) {
-  apl::trace::Span span(apl::trace::kRecover, "dist_recover");
-  const double t0 = apl::now_seconds();
-  const apl::io::File file = store.load();
-  validate_checkpoint_layout(file);
-  comm_.revive_all();
+void Distributed::restore_global(const apl::io::File& file) {
   load_dats(*global_, file);
-  // Re-establish every rank replica (owned values and ghost copies) from
-  // the restored global state; the bytes moved are the recovery cost.
-  std::uint64_t bytes = 0;
-  for (index_t d = 0; d < global_->num_dats(); ++d) {
-    DatBase& dat = global_->dat(d);
-    const SetDist& sd = set_dist_[dat.set().id()];
-    for (int r = 0; r < comm_.size(); ++r) {
-      bytes += static_cast<std::uint64_t>(sd.owned[r].size() +
-                                          sd.ghosts[r].size()) *
-               dat.entry_bytes();
-    }
-    scatter(dat);
-  }
-  comm_.traffic().record_recovery(bytes, apl::now_seconds() - t0);
-  // Surface rollback traffic into the profile (and its JSON export) as a
-  // pseudo-loop, alongside the per-loop halo_bytes: the recovery cost was
-  // previously only visible in the comm Traffic ledger.
-  apl::LoopStats& rec = global_->profile().stats("<recover>");
-  ++rec.calls;
-  rec.halo_bytes += bytes;
-  span.set_bytes(bytes);
-  const auto step = file.get<std::int64_t>("meta/step");
-  return step.empty() ? 0 : step[0];
 }
 
-std::int64_t Distributed::shrink_recover(apl::io::CheckpointStore& store) {
-  apl::require(!comm_.failed_ranks().empty(),
-               "shrink_recover: no failed ranks to shrink away");
-  apl::trace::Span span(apl::trace::kRecover, "dist_shrink");
-  const double t0 = apl::now_seconds();
-  const apl::io::File file = store.load();
-  comm_.shrink();
-  validate_checkpoint_layout(file);
-  load_dats(*global_, file);
+void Distributed::rebuild_ranks(bool shrunk) {
+  if (!shrunk) {
+    for (index_t d = 0; d < global_->num_dats(); ++d) scatter(global_->dat(d));
+    return;
+  }
   // Every piece of distribution state is re-derived at the survivor
   // count from the global mesh description alone — the active-library
   // property that makes shrinking recovery possible without application
@@ -633,6 +580,9 @@ std::int64_t Distributed::shrink_recover(apl::io::CheckpointStore& store) {
     rc->set_tile_size(rank_tile_size_);
     rc->set_lazy(rank_lazy_);
   }
+}
+
+std::uint64_t Distributed::replica_bytes() const {
   std::uint64_t bytes = 0;
   for (index_t d = 0; d < global_->num_dats(); ++d) {
     const DatBase& dat = global_->dat(d);
@@ -643,93 +593,7 @@ std::int64_t Distributed::shrink_recover(apl::io::CheckpointStore& store) {
                dat.entry_bytes();
     }
   }
-  ++shrinks_done_;
-  comm_.traffic().record_shrink();
-  comm_.traffic().record_recovery(bytes, apl::now_seconds() - t0);
-  apl::LoopStats& rec = global_->profile().stats("<recover>");
-  ++rec.calls;
-  rec.halo_bytes += bytes;
-  span.set_bytes(bytes);
-  const auto step = file.get<std::int64_t>("meta/step");
-  return step.empty() ? 0 : step[0];
-}
-
-std::int64_t Distributed::recover_auto(apl::io::CheckpointStore& store) {
-  const apl::resilience::Policy& p = apl::resilience::policy();
-  using apl::resilience::OnRankFailure;
-  if (p.rank_failure == OnRankFailure::kRevive) return recover(store);
-  if (p.rank_failure == OnRankFailure::kFail) {
-    throw apl::resilience::LadderExhausted(
-        "op2: rank failure and the resilience policy forbids recovery "
-        "(rank_failure=fail)");
-  }
-  const int survivors =
-      comm_.size() - static_cast<int>(comm_.failed_ranks().size());
-  if (survivors <= 0) {
-    throw apl::resilience::LadderExhausted(
-        "op2: no surviving ranks to shrink onto");
-  }
-  if (shrinks_done_ < p.max_shrinks) return shrink_recover(store);
-  if (p.single_rank_fallback && comm_.size() > 1) {
-    // Shrink budget spent: the last rung collapses onto one survivor,
-    // where the run degenerates to (slow, safe) replicated execution.
-    apl::trace::Span span(apl::trace::kRecover, "fallback:single_rank");
-    int keep = -1;
-    for (int r = 0; r < comm_.size(); ++r) {
-      if (!comm_.rank_failed(r)) {
-        keep = r;
-        break;
-      }
-    }
-    for (int r = 0; r < comm_.size(); ++r) {
-      if (r != keep && !comm_.rank_failed(r)) comm_.fail_rank(r);
-    }
-    return shrink_recover(store);
-  }
-  throw apl::resilience::LadderExhausted(
-      "op2: degradation ladder exhausted — shrink budget (" +
-      std::to_string(p.max_shrinks) + ") spent and single-rank fallback " +
-      (p.single_rank_fallback ? "already reached" : "disabled"));
-}
-
-apl::resilience::Outcome Distributed::recover_outcome(
-    apl::io::CheckpointStore& store) {
-  using apl::resilience::Rung;
-  const apl::resilience::Policy& p = apl::resilience::policy();
-  const apl::mpisim::Traffic& tr = comm_.traffic();
-  const std::uint64_t retries0 = tr.retries();
-  const std::uint64_t shrinks0 = tr.shrinks();
-  const double backoff0 = tr.retry_backoff_seconds();
-  const double recsec0 = tr.recovery_seconds();
-  // recover_auto takes the fallback rung only once the shrink budget is
-  // spent; snapshot the condition now so the outcome can name its rung.
-  const bool fallback_next = shrinks_done_ >= p.max_shrinks;
-  apl::resilience::Outcome out;
-  try {
-    out.resume_step = recover_auto(store);
-    out.ok = true;
-    if (p.rank_failure == apl::resilience::OnRankFailure::kRevive) {
-      out.rung = Rung::kRevive;
-    } else {
-      out.rung = fallback_next ? Rung::kFallback : Rung::kShrink;
-    }
-  } catch (const apl::resilience::LadderExhausted& e) {
-    out.rung = Rung::kExhausted;
-    out.error = e.what();
-    out.error_kind = "LadderExhausted";
-  } catch (const apl::fault::Kill&) {
-    throw;  // a fresh injected crash is not a recovery verdict
-  } catch (const apl::Error& e) {
-    out.rung = fallback_next ? Rung::kFallback : Rung::kShrink;
-    out.error = e.what();
-    out.error_kind = "Error";
-  }
-  out.retries = static_cast<int>(tr.retries() - retries0);
-  out.shrinks = static_cast<int>(tr.shrinks() - shrinks0);
-  out.backoff_seconds = tr.retry_backoff_seconds() - backoff0;
-  out.recovery_seconds = tr.recovery_seconds() - recsec0;
-  out.mttr = tr.mttr();
-  return out;
+  return bytes;
 }
 
 }  // namespace op2

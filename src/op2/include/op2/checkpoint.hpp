@@ -2,176 +2,44 @@
 //
 // Because every dataset is owned by the library and every loop declares how
 // it accesses each dataset, the library can reason about the state of all
-// data at any point of execution. When a checkpoint is requested:
-//
-//   * entering "checkpointing mode" at loop i, each dataset is classified
-//     lazily as the subsequent loops are reached: first access is a read
-//     (R/RW/Inc) -> the dataset must be SAVED (its value still equals the
-//     value at loop i, so it is written to the checkpoint right then);
-//     first access is a whole write (W) -> DROPPED; never modified since
-//     application start -> not saved (restart re-creates initial data);
-//   * the "units of data saved if entering here" column of Fig. 8 is
-//     exactly the sum of saved dataset dimensions, computable for any
-//     candidate entry point from the recorded chain;
-//   * in speculative mode the checkpointer recognises the periodic kernel
-//     sequence and defers entry to the cheapest phase of the period (for
-//     Airfoil: right before save_soln or update, 8 units instead of 13);
-//   * on restart the application runs identically, but par_loop skips all
-//     computation and only restores recorded global-reduction outputs
-//     ("fast-forwarding"); when the entry loop is reached, the saved
-//     datasets are restored and normal execution resumes.
-//
-// The classification itself lives in apl::ckpt::ChainAnalysis (shared with
-// ops::Checkpointer); this class owns the OP2-specific parts: packing dat
-// payloads, the checkpoint file contents, and fast-forward replay. Files
-// are written through apl::io::CheckpointStore, so `path` is a base name
-// for the crash-safe slot pair `<path>.a` / `<path>.b` plus `<path>.mf`.
+// data at any point of execution. The classification, the checkpoint file
+// and the fast-forward replay live in apl::ckpt (shared with
+// ops::Checkpointer); for Airfoil, speculative entry lands right before
+// save_soln or update and saves 8 units instead of 13. This class supplies
+// only the OP2 projection of loop descriptors, and op2's
+// pack_dat/unpack_dat pair supplies the dat payloads. Files are written
+// through apl::io::CheckpointStore, so `path` is a base name for the
+// crash-safe slot pair `<path>.a` / `<path>.b` plus `<path>.mf`.
 #pragma once
 
-#include <cstdint>
-#include <cstring>
-#include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "apl/ckpt.hpp"
-#include "apl/error.hpp"
-#include "apl/io/ckpt.hpp"
 #include "op2/arg.hpp"
+#include "op2/context.hpp"
 
 namespace op2 {
 
-class Context;
+/// A dat's logical content in AoS order (set size x entry bytes), the
+/// payload both op2::Checkpointer and dump_dats store.
+std::vector<std::uint8_t> pack_dat(const DatBase& dat);
 
-class Checkpointer {
+/// Inverse of pack_dat; a size mismatch throws naming the dat.
+void unpack_dat(DatBase& dat, std::span<const std::uint8_t> bytes);
+
+class Checkpointer final
+    : public apl::ckpt::Checkpointer<Checkpointer, Context> {
 public:
-  enum class LoopAction { kExecute, kSkipReplay };
-
-  struct Options {
-    /// Defer entry to the cheapest phase of a detected periodic loop
-    /// sequence instead of entering at the trigger point.
-    bool speculative = true;
-    /// Max loops to wait for all datasets to be classified before
-    /// conservatively saving the undecided ones.
-    index_t horizon = 64;
-  };
-
-  /// Fresh run: record the chain, save to the `path` slot files when
-  /// requested.
-  Checkpointer(Context& ctx, std::string path, Options opts);
-  Checkpointer(Context& ctx, std::string path)
-      : Checkpointer(ctx, std::move(path), Options{}) {}
-
-  /// Restart: fast-forward (replaying logged global outputs) to the saved
-  /// entry loop, then restore datasets and resume normal execution. Loads
-  /// the newest checkpoint generation that validates.
-  static Checkpointer restore(Context& ctx, std::string path, Options opts);
-  static Checkpointer restore(Context& ctx, std::string path) {
-    return restore(ctx, std::move(path), Options{});
-  }
-
-  // ---- user API
-  /// Requests a checkpoint; with speculative mode it may be deferred by up
-  /// to one period of the loop chain.
-  void request_checkpoint();
-  bool checkpoint_complete() const { return checkpoint_complete_; }
-  /// Loop-sequence position (number of par_loop calls seen so far).
-  index_t position() const { return analysis_.position(); }
-  bool replaying() const { return replaying_; }
-
-  /// The crash-safe store backing this checkpointer.
-  const apl::io::CheckpointStore& store() const { return store_; }
-
-  // ---- par_loop hooks
-  LoopAction on_loop(const std::string& name,
-                     const std::vector<ArgInfo>& args);
-  void after_loop(std::span<const std::uint8_t> gbl_payload);
-  std::span<const std::uint8_t> replay_gbl_payload() const;
-  void finish_replayed_loop();
-
-  // ---- introspection (Fig. 8 bench and tests)
-  using ChainEntry = apl::ckpt::ChainEntry;
-  const std::vector<ChainEntry>& chain() const { return analysis_.chain(); }
-
-  /// The Fig. 8 "units of data saved if entering checkpointing mode here"
-  /// value for chain position `pos`, computed from the recorded chain.
-  /// Returns nullopt when the recorded lookahead is insufficient to decide
-  /// every dataset ("unknown yet" in Fig. 8).
-  std::optional<index_t> units_if_entering_at(index_t pos) const {
-    return analysis_.units_if_entering_at(pos);
-  }
-
-  /// Smallest period p with chain[i] == chain[i+p] for all recorded i
-  /// (0 if the chain is not periodic over the recorded window).
-  index_t detect_period() const { return analysis_.detect_period(); }
-
-  /// Datasets a checkpoint entered at `pos` would save, in save order.
-  std::vector<index_t> datasets_saved_at(index_t pos) const {
-    return analysis_.datasets_saved_at(pos);
-  }
+  using apl::ckpt::Checkpointer<Checkpointer, Context>::Checkpointer;
 
 private:
-  Checkpointer(Context& ctx, std::string path, Options opts, bool replay);
+  friend apl::ckpt::Checkpointer<Checkpointer, Context>;
 
-  void finalize_checkpoint();
-  static apl::ckpt::Options to_ckpt_options(const Options& o) {
-    return apl::ckpt::Options{o.speculative, o.horizon};
-  }
   /// Projects the OP2 descriptors onto the library-agnostic form; map id
   /// and component are folded into `aux` so chain equality stays exact.
   static std::vector<apl::ckpt::ArgAccess> project(
       const std::vector<ArgInfo>& args);
-
-  Context* ctx_;
-  apl::io::CheckpointStore store_;
-  Options opts_;
-  apl::ckpt::ChainAnalysis analysis_;
-
-  std::vector<std::vector<std::uint8_t>> gbl_log_;  ///< per executed loop
-
-  // saving state (payloads packed at classification time)
-  std::vector<index_t> saved_dats_;
-  std::vector<std::vector<std::uint8_t>> saved_payloads_;
-  bool checkpoint_complete_ = false;
-
-  // replay state
-  bool replaying_ = false;
-  index_t replay_entry_seq_ = -1;
-  std::vector<std::vector<std::uint8_t>> replay_gbl_;
-  std::vector<std::string> replay_names_;
-  apl::io::File replay_file_;  ///< the loaded checkpoint, kept for entry
 };
-
-namespace detail {
-
-/// Replays one global argument's recorded output during fast-forward.
-template <class T>
-void replay_gbl(Checkpointer& ck, ArgGbl<T>& g, std::size_t& offset) {
-  if (!writes(g.acc)) return;
-  const auto payload = ck.replay_gbl_payload();
-  const std::size_t bytes = static_cast<std::size_t>(g.dim) * sizeof(T);
-  apl::require(offset + bytes <= payload.size(),
-               "checkpoint replay: global-output log too short (nondeterministic"
-               " loop sequence?)");
-  std::memcpy(g.data, payload.data() + offset, bytes);
-  offset += bytes;
-}
-template <class T>
-void replay_gbl(Checkpointer&, ArgDat<T>&, std::size_t&) {}
-
-/// Appends one global argument's output to the per-loop log.
-template <class T>
-void log_gbl(const ArgGbl<T>& g, std::vector<std::uint8_t>& out) {
-  if (!writes(g.acc)) return;
-  const std::size_t bytes = static_cast<std::size_t>(g.dim) * sizeof(T);
-  const std::size_t pos = out.size();
-  out.resize(pos + bytes);
-  std::memcpy(out.data() + pos, g.data, bytes);
-}
-template <class T>
-void log_gbl(const ArgDat<T>&, std::vector<std::uint8_t>&) {}
-
-}  // namespace detail
 
 }  // namespace op2

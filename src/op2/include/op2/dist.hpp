@@ -36,18 +36,13 @@
 
 #include "apl/graph/partition.hpp"
 #include "apl/mpisim/comm.hpp"
-#include "apl/resilience.hpp"
+#include "apl/mpisim/ladder.hpp"
 #include "op2/context.hpp"
 #include "op2/par_loop.hpp"
 
-namespace apl::io {
-class CheckpointStore;
-class File;
-}
-
 namespace op2 {
 
-class Distributed {
+class Distributed final : public apl::mpisim::Ladder {
 public:
   /// Partitions `base_set` of `ctx` with `method` across `nranks` ranks and
   /// derives every other set's partition through the maps. `coords` (a dat
@@ -57,7 +52,7 @@ public:
               const Set& base_set, const DatBase* coords = nullptr);
 
   int num_ranks() const { return comm_.size(); }
-  apl::mpisim::Comm& comm() { return comm_; }
+  apl::mpisim::Comm& comm() override { return comm_; }
   const apl::mpisim::Comm& comm() const { return comm_; }
   Context& rank_context(int r) { return *rank_ctx_[r]; }
   Context& global_context() { return *global_; }
@@ -104,36 +99,10 @@ public:
   /// (owned values and ghosts), e.g. after host-side re-initialization.
   void scatter(DatBase& global_dat);
 
-  // ---- fault tolerance (apl::fault + apl::io::CheckpointStore) -------------
-  /// Collective checkpoint: gathers authoritative owner values of every dat
-  /// into the global context and writes one crash-safe snapshot tagged with
-  /// the caller's `step` counter.
-  void checkpoint(apl::io::CheckpointStore& store, std::int64_t step);
-  /// Collective rollback after a rank failure: revives all ranks, discards
-  /// in-flight messages, restores every dat from the last good checkpoint
-  /// and re-scatters it. The redistribution bytes are accounted as recovery
-  /// traffic. Returns the step recorded at checkpoint time.
-  std::int64_t recover(apl::io::CheckpointStore& store);
-  /// Shrink-and-continue recovery (ULFM-style): removes the failed ranks
-  /// from the communicator, repartitions the mesh over the survivors
-  /// (reusing the plan/partition cache when warm), restores every dat from
-  /// the last good checkpoint re-scattered onto the new rank count, and
-  /// resumes — bitwise-identical to a failure-free run at that rank count.
-  /// Returns the step recorded at checkpoint time.
-  std::int64_t shrink_recover(apl::io::CheckpointStore& store);
-  /// The degradation ladder: consults apl::resilience::policy() and takes
-  /// the configured rung for a permanent rank loss — revive rollback,
-  /// shrink (bounded by the policy's shrink budget), replicated
-  /// single-rank fallback, or a named LadderExhausted error. Never hangs.
-  std::int64_t recover_auto(apl::io::CheckpointStore& store);
-  /// recover_auto with the result *as data*: the rung reached, the resume
-  /// step, the ledger deltas (retries/shrinks/backoff/MTTR) this recovery
-  /// cost, and — on failure — the named error kind instead of a throw.
-  /// LadderExhausted and recovery errors are absorbed into the Outcome;
-  /// anything non-resilience (e.g. a fresh injected Kill) still throws.
-  apl::resilience::Outcome recover_outcome(apl::io::CheckpointStore& store);
-  /// Shrink-and-continue recoveries performed so far (ladder bookkeeping).
-  int shrinks_done() const { return shrinks_done_; }
+  // Checkpointing and rank-failure recovery (checkpoint, recover,
+  // shrink_recover, recover_auto, recover_outcome, shrinks_done) are
+  // apl::mpisim::Ladder's; shrinking repartitions the mesh over the
+  // survivors, reusing the plan/partition cache when warm.
 
 private:
   struct SetDist {
@@ -146,10 +115,16 @@ private:
   void partition_sets(apl::graph::PartitionMethod method, const Set& base,
                       const DatBase* coords);
   void build_rank_contexts();
+  // ---- apl::mpisim::Ladder hooks
+  void dump_global(apl::io::File& file) override;
   /// Named expected-vs-found diagnostic for a checkpoint whose dat layout
   /// does not match this mesh (e.g. restoring another app's snapshot),
   /// instead of a generic size-mismatch deep inside the scatter.
-  void validate_checkpoint_layout(const apl::io::File& file) const;
+  void validate_layout(const apl::io::File& file,
+                       const std::string& origin) const override;
+  void restore_global(const apl::io::File& file) override;
+  void rebuild_ranks(bool shrunk) override;
+  std::uint64_t replica_bytes() const override;
   void validate_args(const std::string& name,
                      const std::vector<ArgInfo>& infos) const;
   /// Owners push current values of dat `d` into every ghost copy.
@@ -179,7 +154,6 @@ private:
   bool rank_lazy_ = false;
   bool rank_tiling_ = true;
   index_t rank_tile_size_ = 0;
-  int shrinks_done_ = 0;
 
   // ---- typed helpers for the par_loop template ---------------------------
 
@@ -207,7 +181,7 @@ private:
     if (g.acc != apl::exec::Access::kRead) {
       st.per_rank.assign(
           static_cast<std::size_t>(num_ranks()) * g.dim,
-          detail::reduction_identity<T>(g.acc));
+          apl::exec::reduction_identity<T>(g.acc));
     }
     return st;
   }
@@ -239,38 +213,9 @@ private:
   void finish_any(ArgDat<T>* /*state*/) {}
   template <class T>
   void finish_any(DistGbl<T>& st) {
-    finish_dist_gbl(st);
-  }
-
-  template <class T>
-  void finish_dist_gbl(DistGbl<T>& st) {
     if (st.user->acc == apl::exec::Access::kRead) return;
-    using Op = apl::mpisim::Comm::ReduceOp;
-    const Op op = st.user->acc == apl::exec::Access::kInc   ? Op::kSum
-                  : st.user->acc == apl::exec::Access::kMin ? Op::kMin
-                                                 : Op::kMax;
-    std::vector<double> contrib(st.user->dim);
-    for (int r = 0; r < num_ranks(); ++r) {
-      for (index_t d = 0; d < st.user->dim; ++d) {
-        contrib[d] = static_cast<double>(
-            st.per_rank[static_cast<std::size_t>(r) * st.user->dim + d]);
-      }
-      comm_.allreduce_begin(r, contrib, op);
-    }
-    const std::vector<double> result = comm_.allreduce_end();
-    for (index_t d = 0; d < st.user->dim; ++d) {
-      const T v = static_cast<T>(result[d]);
-      switch (st.user->acc) {
-        case apl::exec::Access::kInc: st.user->data[d] += v; break;
-        case apl::exec::Access::kMin:
-          st.user->data[d] = std::min(st.user->data[d], v);
-          break;
-        case apl::exec::Access::kMax:
-          st.user->data[d] = std::max(st.user->data[d], v);
-          break;
-        default: break;
-      }
-    }
+    apl::mpisim::allreduce_into(comm_, st.user->acc, st.per_rank,
+                                st.user->dim, st.user->data);
   }
 };
 

@@ -26,7 +26,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -80,23 +79,13 @@ Acc<T> element_acc_t(ArgGbl<T>& g, index_t /*e*/, std::size_t tid) {
 // ---- global-reduction scratch ------------------------------------------
 
 template <class T>
-T reduction_identity(apl::exec::Access acc) {
-  switch (acc) {
-    case apl::exec::Access::kInc: return T{};
-    case apl::exec::Access::kMin: return std::numeric_limits<T>::max();
-    case apl::exec::Access::kMax: return std::numeric_limits<T>::lowest();
-    default: return T{};
-  }
-}
-
-template <class T>
 void prepare_gbl(ArgGbl<T>& g, std::size_t slots) {
   if (g.acc == apl::exec::Access::kRead || slots == 0) {
     g.scratch.clear();
     return;
   }
   g.scratch.assign(slots * static_cast<std::size_t>(g.dim),
-                   reduction_identity<T>(g.acc));
+                   apl::exec::reduction_identity<T>(g.acc));
 }
 template <class T>
 void prepare_gbl(ArgDat<T>&, std::size_t) {}
@@ -695,8 +684,9 @@ void par_loop(Context& ctx, const std::string& name, const Set& set,
   // the loop body is skipped and global outputs are restored from the log.
   if (Checkpointer* ck = ctx.checkpointer()) {
     if (ck->on_loop(name, infos) == Checkpointer::LoopAction::kSkipReplay) {
+      const auto payload = ck->replay_gbl_payload();
       std::size_t gbl_index = 0;
-      (detail::replay_gbl(*ck, args, gbl_index), ...);
+      (apl::ckpt::replay_gbl(payload, args, gbl_index), ...);
       ck->finish_replayed_loop();
       return;
     }
@@ -758,7 +748,7 @@ void par_loop(Context& ctx, const std::string& name, const Set& set,
 
   if (Checkpointer* ck = ctx.checkpointer()) {
     std::vector<std::uint8_t> gbl_log;
-    (detail::log_gbl(args, gbl_log), ...);
+    (apl::ckpt::log_gbl(args, gbl_log), ...);
     ck->after_loop(gbl_log);
   }
 }

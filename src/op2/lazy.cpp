@@ -926,34 +926,22 @@ const TileSchedule& Context::plan_for(const ChainPlanRequest& req) {
   }
 
   auto& store = apl::plan_cache::Store::current();
-  std::unique_ptr<TileSchedule> sched;
-  if (store.enabled()) {
-    if (auto payload = store.load(ck)) {
-      apl::trace::Span span(apl::trace::kPlan, "chain_hit:" + req.label);
-      std::string diag;
-      if (auto decoded = decode_tile_schedule(*payload, chain, &diag)) {
-        sched = std::make_unique<TileSchedule>(std::move(*decoded));
-        span.set_elements(chain.size());
-        span.set_bytes(payload->size());
-      } else {
-        // Container-valid but IR-invalid: surface it like corruption and
-        // degrade to a fresh inspection.
-        store.note_corrupt(diag);
-      }
-    }
-  }
-  const bool built = sched == nullptr;
-  if (built) {
-    apl::trace::Span span(apl::trace::kPlan, "chain_analyze:" + req.label);
-    sched = std::make_unique<TileSchedule>(
-        detail::build_tile_schedule(*this, chain));
-    span.set_elements(chain.size());
-    span.set_index(sched->fused ? sched->ntiles : 0);
-  }
+  std::unique_ptr<TileSchedule> sched =
+      apl::plan_cache::load_or_build<TileSchedule>(
+          store, ck, "chain_hit:", chain.size(),
+          [&](const std::vector<std::uint8_t>& payload, std::string* diag) {
+            return decode_tile_schedule(payload, chain, diag);
+          },
+          [&] {
+            apl::trace::Span span(apl::trace::kPlan,
+                                  "chain_analyze:" + req.label);
+            span.set_elements(chain.size());
+            TileSchedule built = detail::build_tile_schedule(*this, chain);
+            span.set_index(built.fused ? built.ntiles : 0);
+            return built;
+          },
+          encode_tile_schedule);
   sched->signature = key;
-  if (built && store.enabled()) {
-    store.save(ck, encode_tile_schedule(*sched));
-  }
   add_plan_seconds(apl::now_seconds() - t0);
 
   // Audit both paths under OPAL_VERIFY=plan: a deserialized schedule is

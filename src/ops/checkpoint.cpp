@@ -1,18 +1,14 @@
 #include "ops/checkpoint.hpp"
 
 #include <algorithm>
+#include <cstring>
 
-#include "ops/context.hpp"
 
 namespace ops {
 
-namespace {
-
-/// Packs a dat's full allocation (halos included) into bytes. raw() is a
-/// flush point, so with the lazy engine active the payload reflects every
-/// loop enqueued so far — but the checkpointer only packs while par_loop
-/// runs it eagerly (wants_eager), so the chain is already drained and this
-/// is a plain copy.
+// raw() is a flush point, so with the lazy engine active the payload
+// reflects every loop enqueued so far; the checkpointer only packs while
+// par_loop runs it eagerly (wants_eager), so there it is a plain copy.
 std::vector<std::uint8_t> pack_dat(DatBase& dat) {
   const std::size_t n = dat.alloc_points() *
                         static_cast<std::size_t>(dat.dim()) * dat.elem_bytes();
@@ -28,8 +24,6 @@ void unpack_dat(DatBase& dat, std::span<const std::uint8_t> bytes) {
                "' size mismatch (", bytes.size(), " vs ", n, " bytes)");
   std::memcpy(dat.raw(), bytes.data(), n);
 }
-
-}  // namespace
 
 std::vector<apl::ckpt::ArgAccess> Checkpointer::project(
     const std::vector<ArgInfo>& args) {
@@ -51,92 +45,12 @@ std::vector<apl::ckpt::ArgAccess> Checkpointer::project(
   return out;
 }
 
-Checkpointer::Checkpointer(Context& ctx, std::string path, Options opts)
-    : Checkpointer(ctx, std::move(path), opts, /*replay=*/false) {}
-
-Checkpointer::Checkpointer(Context& ctx, std::string path, Options opts,
-                           bool replay)
-    : ctx_(&ctx),
-      store_(std::move(path)),
-      opts_(opts),
-      analysis_(ctx.num_dats()) {
-  replaying_ = replay;
-  ctx.attach_checkpointer(this);
-}
-
-Checkpointer Checkpointer::restore(Context& ctx, std::string path,
-                                   Options opts) {
-  Checkpointer ck(ctx, std::move(path), opts, /*replay=*/true);
-  ck.replay_file_ = ck.store_.load();
-  const apl::io::File& file = ck.replay_file_;
-  const auto entry = file.get<std::int64_t>("meta/entry_loop");
-  apl::require(entry.size() == 1, "checkpoint: malformed entry_loop");
-  ck.replay_entry_seq_ = static_cast<index_t>(entry[0]);
-  const auto offsets = file.get<std::int64_t>("meta/gbl_offsets");
-  const auto flat = file.get<std::uint8_t>("meta/gbl_log");
-  apl::require(!offsets.empty(), "checkpoint: malformed gbl_offsets");
-  for (std::size_t i = 0; i + 1 < offsets.size(); ++i) {
-    ck.replay_gbl_.emplace_back(flat.begin() + offsets[i],
-                                flat.begin() + offsets[i + 1]);
-  }
-  const auto names_bytes = file.get<std::uint8_t>("meta/loop_names");
-  std::string names(names_bytes.begin(), names_bytes.end());
-  for (std::size_t pos = 0; pos < names.size();) {
-    const std::size_t nl = names.find('\n', pos);
-    ck.replay_names_.push_back(names.substr(pos, nl - pos));
-    pos = (nl == std::string::npos) ? names.size() : nl + 1;
-  }
-  apl::require(static_cast<index_t>(ck.replay_gbl_.size()) ==
-                   ck.replay_entry_seq_,
-               "checkpoint: global log does not cover the fast-forward range");
-  return ck;
-}
-
 void Checkpointer::request_checkpoint() {
-  apl::require(!replaying_,
-               "request_checkpoint: still fast-forwarding a restarted run");
   // A checkpoint request is a flush point: the queued chain executes
   // before the state machine arms, so entry-point selection and packed
   // payloads refer to a well-defined program position.
   ctx_->flush();
-  analysis_.request(to_ckpt_options(opts_));
-}
-
-void Checkpointer::finalize_checkpoint() {
-  apl::io::File file;
-  for (std::size_t i = 0; i < saved_dats_.size(); ++i) {
-    const DatBase& dat = ctx_->dat(saved_dats_[i]);
-    const auto& bytes = saved_payloads_[i];
-    file.put<std::uint8_t>("dat/" + dat.name(), bytes,
-                           {static_cast<std::uint64_t>(bytes.size())});
-  }
-  const index_t entry_seq = analysis_.entry_seq();
-  file.put<std::int64_t>(
-      "meta/entry_loop",
-      std::vector<std::int64_t>{static_cast<std::int64_t>(entry_seq)}, {1});
-  const auto& chain = analysis_.chain();
-  std::vector<std::uint8_t> flat;
-  std::vector<std::int64_t> offsets{0};
-  std::string names;
-  for (index_t i = 0; i < entry_seq; ++i) {
-    flat.insert(flat.end(), gbl_log_[i].begin(), gbl_log_[i].end());
-    offsets.push_back(static_cast<std::int64_t>(flat.size()));
-    names += chain[i].name;
-    names += '\n';
-  }
-  if (flat.empty()) flat.push_back(0);
-  file.put<std::uint8_t>("meta/gbl_log", flat,
-                         {static_cast<std::uint64_t>(flat.size())});
-  file.put<std::int64_t>("meta/gbl_offsets", offsets,
-                         {static_cast<std::uint64_t>(offsets.size())});
-  std::vector<std::uint8_t> names_bytes(names.begin(), names.end());
-  if (names_bytes.empty()) names_bytes.push_back('\n');
-  file.put<std::uint8_t>("meta/loop_names", names_bytes,
-                         {static_cast<std::uint64_t>(names_bytes.size())});
-  store_.save(file);
-  saved_dats_.clear();
-  saved_payloads_.clear();
-  checkpoint_complete_ = true;
+  SaveReplay::request_checkpoint();
 }
 
 Access Checkpointer::classify_write(index_t dat_id, Access acc,
@@ -167,56 +81,6 @@ Access Checkpointer::classify_write(index_t dat_id, Access acc,
     }
   }
   return out;
-}
-
-Checkpointer::LoopAction Checkpointer::on_loop(
-    const std::string& name, const std::vector<ArgInfo>& args) {
-  if (replaying_) {
-    analysis_.record(name, project(args));
-    const index_t seq = analysis_.position();
-    if (seq < replay_entry_seq_) {
-      apl::require(name == replay_names_[seq],
-                   "checkpoint replay: expected loop '", replay_names_[seq],
-                   "' at position ", seq, " but application issued '", name,
-                   "' — the restarted run diverged");
-      return LoopAction::kSkipReplay;
-    }
-    // Reached the checkpoint entry: restore datasets, resume execution.
-    for (const auto& [key, ds] : replay_file_.all()) {
-      if (key.rfind("dat/", 0) != 0) continue;
-      DatBase* dat = ctx_->find_dat(key.substr(4));
-      apl::require(dat != nullptr, "checkpoint restore: unknown dat '",
-                   key.substr(4), "'");
-      unpack_dat(*dat, ds.bytes);
-    }
-    replaying_ = false;
-    return LoopAction::kExecute;
-  }
-
-  const apl::ckpt::ChainAnalysis::Step step =
-      analysis_.step(name, project(args), to_ckpt_options(opts_));
-  for (index_t d : step.save_now) {
-    // Pack *now*, before this loop executes — par_loop has already drained
-    // the lazy queue (wants_eager), so these are true loop-entry values.
-    saved_dats_.push_back(d);
-    saved_payloads_.push_back(pack_dat(ctx_->dat(d)));
-  }
-  if (step.completed) finalize_checkpoint();
-  return LoopAction::kExecute;
-}
-
-void Checkpointer::after_loop(std::span<const std::uint8_t> gbl_payload) {
-  gbl_log_.emplace_back(gbl_payload.begin(), gbl_payload.end());
-  analysis_.advance();
-}
-
-std::span<const std::uint8_t> Checkpointer::replay_gbl_payload() const {
-  return replay_gbl_[analysis_.position()];
-}
-
-void Checkpointer::finish_replayed_loop() {
-  gbl_log_.push_back(replay_gbl_[analysis_.position()]);
-  analysis_.advance();
 }
 
 }  // namespace ops

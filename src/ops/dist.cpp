@@ -5,10 +5,9 @@
 #include <cstring>
 
 #include "apl/cancel.hpp"
-#include "apl/fault.hpp"
 #include "apl/io/ckpt.hpp"
 #include "apl/mpisim/retry.hpp"
-#include "apl/resilience.hpp"
+#include "ops/checkpoint.hpp"
 
 namespace ops {
 
@@ -41,7 +40,7 @@ std::array<int, kMaxDim> factorize(int nranks, int ndim) {
 }  // namespace
 
 Distributed::Distributed(Context& ctx, int nranks)
-    : global_(&ctx), comm_(nranks) {
+    : Ladder("ops", ctx.profile()), global_(&ctx), comm_(nranks) {
   apl::require(nranks >= 1, "ops::Distributed: need at least one rank");
   halo_dirty_.assign(ctx.num_dats(), 0);
   init_decomposition();
@@ -392,34 +391,18 @@ void Distributed::scatter(DatBase& global_dat) {
   halo_dirty_[global_dat.id()] = 0;
 }
 
-void Distributed::checkpoint(apl::io::CheckpointStore& store,
-                             std::int64_t step) {
-  apl::trace::Span span(apl::trace::kCkpt, "dist_checkpoint");
-  apl::io::File file;
+void Distributed::dump_global(apl::io::File& file) {
   for (index_t d = 0; d < global_->num_dats(); ++d) {
     DatBase& dat = global_->dat(d);
     fetch(dat);
-    const std::size_t bytes =
-        dat.alloc_points() * static_cast<std::size_t>(dat.dim()) *
-        dat.elem_bytes();
-    std::vector<std::uint8_t> payload(bytes);
-    std::memcpy(payload.data(), dat.raw(), bytes);
+    const std::vector<std::uint8_t> payload = pack_dat(dat);
     file.put<std::uint8_t>("dat/" + dat.name(), payload,
-                           {static_cast<std::uint64_t>(bytes)});
+                           {static_cast<std::uint64_t>(payload.size())});
   }
-  const std::vector<std::int64_t> stepv{step};
-  file.put<std::int64_t>("meta/step", stepv, {1});
-  const std::vector<std::int64_t> nranksv{comm_.size()};
-  file.put<std::int64_t>("meta/nranks", nranksv, {1});
-  store.save(file);
 }
 
-void Distributed::validate_checkpoint_layout(const apl::io::File& file) const {
-  std::int64_t recorded = -1;
-  if (file.contains("meta/nranks")) {
-    const auto v = file.get<std::int64_t>("meta/nranks");
-    if (!v.empty()) recorded = v[0];
-  }
+void Distributed::validate_layout(const apl::io::File& file,
+                                  const std::string& origin) const {
   for (index_t d = 0; d < global_->num_dats(); ++d) {
     const DatBase& dat = global_->dat(d);
     const std::string key = "dat/" + dat.name();
@@ -429,174 +412,45 @@ void Distributed::validate_checkpoint_layout(const apl::io::File& file) const {
         dat.elem_bytes();
     const std::size_t found = file.raw(key).bytes.size();
     if (found == expected) continue;
-    std::string at = recorded >= 0
-                         ? " (checkpoint written at " +
-                               std::to_string(recorded) +
-                               " ranks; restoring at " +
-                               std::to_string(comm_.size()) + ")"
-                         : "";
     apl::fail("ops: checkpoint layout mismatch for dat '", dat.name(),
-              "': expected ", expected, " bytes, found ", found, at);
+              "': expected ", expected, " bytes, found ", found, origin);
   }
 }
 
-std::int64_t Distributed::recover(apl::io::CheckpointStore& store) {
-  apl::trace::Span span(apl::trace::kRecover, "dist_recover");
-  const double t0 = apl::now_seconds();
-  const apl::io::File file = store.load();
-  validate_checkpoint_layout(file);
-  comm_.revive_all();
-  std::uint64_t moved = 0;
+void Distributed::restore_global(const apl::io::File& file) {
   for (index_t d = 0; d < global_->num_dats(); ++d) {
     DatBase& dat = global_->dat(d);
     const std::string key = "dat/" + dat.name();
-    if (!file.contains(key)) continue;
-    const auto payload = file.get<std::uint8_t>(key);
-    const std::size_t bytes =
-        dat.alloc_points() * static_cast<std::size_t>(dat.dim()) *
-        dat.elem_bytes();
-    std::memcpy(dat.raw(), payload.data(), bytes);
-    scatter(dat);
-    for (int r = 0; r < comm_.size(); ++r) {
-      const DatBase& rdat = rank_ctx_[r]->dat(d);
-      moved += static_cast<std::uint64_t>(rdat.alloc_points()) *
-               rdat.dim() * rdat.elem_bytes();
-    }
+    if (file.contains(key)) unpack_dat(dat, file.get<std::uint8_t>(key));
   }
-  comm_.traffic().record_recovery(moved, apl::now_seconds() - t0);
-  // Surface rollback traffic into the profile (and its JSON export) as a
-  // pseudo-loop; it was previously only visible in the comm Traffic
-  // ledger. Same convention as op2::Distributed::recover.
-  apl::LoopStats& rec = global_->profile().stats("<recover>");
-  ++rec.calls;
-  rec.halo_bytes += moved;
-  span.set_bytes(moved);
-  const auto step = file.get<std::int64_t>("meta/step");
-  return step.empty() ? 0 : step[0];
 }
 
-std::int64_t Distributed::shrink_recover(apl::io::CheckpointStore& store) {
-  apl::require(!comm_.failed_ranks().empty(),
-               "ops::Distributed::shrink_recover: no rank has failed");
-  apl::trace::Span span(apl::trace::kRecover, "dist_shrink");
-  const double t0 = apl::now_seconds();
-  // Load before shrinking: a bad/missing checkpoint must surface as an
-  // error while the communicator is still intact, not half-shrunk.
-  const apl::io::File file = store.load();
-  comm_.shrink();
-  validate_checkpoint_layout(file);
-  // Restore the global dats from the checkpoint, then rebuild the
-  // decomposition and per-rank contexts over the survivors; the trailing
-  // scatter in build_rank_contexts redistributes the restored state.
-  for (index_t d = 0; d < global_->num_dats(); ++d) {
-    DatBase& dat = global_->dat(d);
-    const std::string key = "dat/" + dat.name();
-    if (!file.contains(key)) continue;
-    const auto payload = file.get<std::uint8_t>(key);
-    std::memcpy(dat.raw(), payload.data(), payload.size());
+void Distributed::rebuild_ranks(bool shrunk) {
+  if (!shrunk) {
+    for (index_t d = 0; d < global_->num_dats(); ++d) scatter(global_->dat(d));
+    return;
   }
+  // Re-decompose every block over the survivors and rebuild the rank
+  // contexts; the trailing scatter in build_rank_contexts redistributes
+  // the restored global state.
   decomp_.clear();
   rank_ctx_.clear();
   offset_.clear();
   halo_dirty_.assign(global_->num_dats(), 0);
   init_decomposition();
   build_rank_contexts();
-  std::uint64_t moved = 0;
-  for (int r = 0; r < comm_.size(); ++r) {
+}
+
+std::uint64_t Distributed::replica_bytes() const {
+  std::uint64_t bytes = 0;
+  for (const auto& rc : rank_ctx_) {
     for (index_t d = 0; d < global_->num_dats(); ++d) {
-      const DatBase& rdat = rank_ctx_[r]->dat(d);
-      moved += static_cast<std::uint64_t>(rdat.alloc_points()) *
-               rdat.dim() * rdat.elem_bytes();
+      const DatBase& rdat = rc->dat(d);
+      bytes += static_cast<std::uint64_t>(rdat.alloc_points()) * rdat.dim() *
+               rdat.elem_bytes();
     }
   }
-  ++shrinks_done_;
-  comm_.traffic().record_shrink();
-  comm_.traffic().record_recovery(moved, apl::now_seconds() - t0);
-  apl::LoopStats& rec = global_->profile().stats("<recover>");
-  ++rec.calls;
-  rec.halo_bytes += moved;
-  span.set_bytes(moved);
-  const auto step = file.get<std::int64_t>("meta/step");
-  return step.empty() ? 0 : step[0];
-}
-
-std::int64_t Distributed::recover_auto(apl::io::CheckpointStore& store) {
-  const apl::resilience::Policy& p = apl::resilience::policy();
-  if (p.rank_failure == apl::resilience::OnRankFailure::kRevive) {
-    return recover(store);
-  }
-  if (p.rank_failure == apl::resilience::OnRankFailure::kFail) {
-    throw apl::resilience::LadderExhausted(
-        "ops: rank failure and the resilience policy forbids recovery "
-        "(rank_failure=fail)");
-  }
-  const int survivors = comm_.size() -
-                        static_cast<int>(comm_.failed_ranks().size());
-  if (survivors <= 0) {
-    throw apl::resilience::LadderExhausted(
-        "ops: no surviving ranks to shrink onto");
-  }
-  if (shrinks_done_ < p.max_shrinks) return shrink_recover(store);
-  if (p.single_rank_fallback && comm_.size() > 1) {
-    // Shrink budget spent: degrade to a single replicated rank (the first
-    // survivor) and keep going rather than dying.
-    apl::trace::Span span(apl::trace::kRecover, "fallback:single_rank");
-    int keep = -1;
-    for (int r = 0; r < comm_.size(); ++r) {
-      if (!comm_.rank_failed(r)) {
-        keep = r;
-        break;
-      }
-    }
-    for (int r = 0; r < comm_.size(); ++r) {
-      if (r != keep && !comm_.rank_failed(r)) comm_.fail_rank(r);
-    }
-    return shrink_recover(store);
-  }
-  throw apl::resilience::LadderExhausted(
-      "ops: degradation ladder exhausted — shrink budget (" +
-      std::to_string(p.max_shrinks) + ") spent and single-rank fallback " +
-      (p.single_rank_fallback ? "already reached" : "disabled"));
-}
-
-apl::resilience::Outcome Distributed::recover_outcome(
-    apl::io::CheckpointStore& store) {
-  using apl::resilience::Rung;
-  const apl::resilience::Policy& p = apl::resilience::policy();
-  const apl::mpisim::Traffic& tr = comm_.traffic();
-  const std::uint64_t retries0 = tr.retries();
-  const std::uint64_t shrinks0 = tr.shrinks();
-  const double backoff0 = tr.retry_backoff_seconds();
-  const double recsec0 = tr.recovery_seconds();
-  // recover_auto takes the fallback rung only once the shrink budget is
-  // spent; snapshot the condition now so the outcome can name its rung.
-  const bool fallback_next = shrinks_done_ >= p.max_shrinks;
-  apl::resilience::Outcome out;
-  try {
-    out.resume_step = recover_auto(store);
-    out.ok = true;
-    if (p.rank_failure == apl::resilience::OnRankFailure::kRevive) {
-      out.rung = Rung::kRevive;
-    } else {
-      out.rung = fallback_next ? Rung::kFallback : Rung::kShrink;
-    }
-  } catch (const apl::resilience::LadderExhausted& e) {
-    out.rung = Rung::kExhausted;
-    out.error = e.what();
-    out.error_kind = "LadderExhausted";
-  } catch (const apl::fault::Kill&) {
-    throw;  // a fresh injected crash is not a recovery verdict
-  } catch (const apl::Error& e) {
-    out.rung = fallback_next ? Rung::kFallback : Rung::kShrink;
-    out.error = e.what();
-    out.error_kind = "Error";
-  }
-  out.retries = static_cast<int>(tr.retries() - retries0);
-  out.shrinks = static_cast<int>(tr.shrinks() - shrinks0);
-  out.backoff_seconds = tr.retry_backoff_seconds() - backoff0;
-  out.recovery_seconds = tr.recovery_seconds() - recsec0;
-  out.mttr = tr.mttr();
-  return out;
+  return bytes;
 }
 
 }  // namespace ops

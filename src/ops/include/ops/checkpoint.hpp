@@ -2,82 +2,45 @@
 // extended to OPS as in the loop-tiling follow-up paper: the same run-time
 // chain analysis that drives tiling drives checkpoint placement).
 //
-// Semantics match op2::Checkpointer exactly — both delegate the
-// classification to apl::ckpt::ChainAnalysis:
-//   * request_checkpoint() is a *flush point* for the lazy loop-chain
-//     engine: the queued chain executes first, so the analysis sees data
-//     values at a well-defined program position;
+// Semantics match op2::Checkpointer exactly — both are an
+// apl::ckpt::SaveReplay — plus what the lazy loop-chain engine needs:
+//   * request_checkpoint() is a *flush point*: the queued chain executes
+//     first, so the analysis sees data values at a well-defined program
+//     position;
 //   * while a checkpoint is pending/saving, par_loop flushes before each
 //     loop (wants_eager()), so payloads packed at classification time
 //     capture true loop-entry values;
-//   * the recorded chain feeds entry-point selection (speculative
-//     deferral to the cheapest phase of the detected period);
-//   * on restart the run fast-forwards: loop bodies are skipped (never
-//     enqueued), logged global-reduction outputs are replayed, and the
-//     saved datasets are restored at the entry loop.
+//   * during fast-forward, skipped loops are never enqueued.
 //
 // Files go through apl::io::CheckpointStore: `path` is a base name for
 // the crash-safe slot pair `<path>.a` / `<path>.b` plus `<path>.mf`.
 #pragma once
 
-#include <cstdint>
-#include <cstring>
-#include <optional>
+#include <array>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "apl/ckpt.hpp"
-#include "apl/error.hpp"
-#include "apl/io/ckpt.hpp"
 #include "ops/arg.hpp"
+#include "ops/context.hpp"
 
 namespace ops {
 
-class Context;
+/// A dat's full allocation (halos included) as bytes: the payload both
+/// ops::Checkpointer and ops::Distributed's checkpoints store.
+std::vector<std::uint8_t> pack_dat(DatBase& dat);
 
-class Checkpointer {
+/// Inverse of pack_dat; a size mismatch throws naming the dat.
+void unpack_dat(DatBase& dat, std::span<const std::uint8_t> bytes);
+
+class Checkpointer final
+    : public apl::ckpt::Checkpointer<Checkpointer, Context> {
 public:
-  enum class LoopAction { kExecute, kSkipReplay };
+  using apl::ckpt::Checkpointer<Checkpointer, Context>::Checkpointer;
 
-  struct Options {
-    /// Defer entry to the cheapest phase of a detected periodic loop
-    /// sequence instead of entering at the trigger point.
-    bool speculative = true;
-    /// Max loops to wait for all datasets to be classified before
-    /// conservatively saving the undecided ones.
-    index_t horizon = 64;
-  };
-
-  /// Fresh run: record the chain, save to the `path` slot files when
-  /// requested.
-  Checkpointer(Context& ctx, std::string path, Options opts);
-  Checkpointer(Context& ctx, std::string path)
-      : Checkpointer(ctx, std::move(path), Options{}) {}
-
-  /// Restart: fast-forward (replaying logged global outputs) to the saved
-  /// entry loop, then restore datasets and resume normal execution.
-  static Checkpointer restore(Context& ctx, std::string path, Options opts);
-  static Checkpointer restore(Context& ctx, std::string path) {
-    return restore(ctx, std::move(path), Options{});
-  }
-
-  // ---- user API
   /// Requests a checkpoint (a flush point for the lazy engine); with
   /// speculative mode entry may be deferred by up to one period.
   void request_checkpoint();
-  bool checkpoint_complete() const { return checkpoint_complete_; }
-  /// Loop-sequence position (number of par_loop calls seen so far).
-  index_t position() const { return analysis_.position(); }
-  bool replaying() const { return replaying_; }
-  /// True while the checkpointer needs loop-entry data values: par_loop
-  /// flushes the queued chain before presenting each loop then.
-  bool wants_eager() const {
-    return analysis_.mode() != apl::ckpt::ChainAnalysis::Mode::kMonitor;
-  }
-
-  /// The crash-safe store backing this checkpointer.
-  const apl::io::CheckpointStore& store() const { return store_; }
 
   // ---- par_loop hooks
   /// Classifier view of one write access. A kWrite only means "replay
@@ -94,40 +57,15 @@ public:
   /// before on_loop.
   Access classify_write(index_t dat_id, Access acc, const Range& range,
                         int ndim);
-  LoopAction on_loop(const std::string& name,
-                     const std::vector<ArgInfo>& args);
-  void after_loop(std::span<const std::uint8_t> gbl_payload);
-  std::span<const std::uint8_t> replay_gbl_payload() const;
-  void finish_replayed_loop();
-
-  // ---- introspection (Fig. 8-style analysis for structured chains)
-  using ChainEntry = apl::ckpt::ChainEntry;
-  const std::vector<ChainEntry>& chain() const { return analysis_.chain(); }
-  std::optional<index_t> units_if_entering_at(index_t pos) const {
-    return analysis_.units_if_entering_at(pos);
-  }
-  index_t detect_period() const { return analysis_.detect_period(); }
-  std::vector<index_t> datasets_saved_at(index_t pos) const {
-    return analysis_.datasets_saved_at(pos);
-  }
 
 private:
-  Checkpointer(Context& ctx, std::string path, Options opts, bool replay);
+  friend apl::ckpt::Checkpointer<Checkpointer, Context>;
 
-  void finalize_checkpoint();
-  static apl::ckpt::Options to_ckpt_options(const Options& o) {
-    return apl::ckpt::Options{o.speculative, o.horizon};
-  }
   /// Projects the OPS descriptors onto the library-agnostic form. ArgIdx
   /// pseudo-arguments carry no data access and are skipped; the stencil id
   /// goes into `aux` so chain equality stays exact.
   static std::vector<apl::ckpt::ArgAccess> project(
       const std::vector<ArgInfo>& args);
-
-  Context* ctx_;
-  apl::io::CheckpointStore store_;
-  Options opts_;
-  apl::ckpt::ChainAnalysis analysis_;
 
   /// Per-dat bounding box of every range written since attach (see
   /// classify_write). Indexed by dat id; `valid` false until first write.
@@ -137,53 +75,6 @@ private:
     std::array<index_t, kMaxDim> hi{};
   };
   std::vector<DirtyBox> dirty_;
-
-  std::vector<std::vector<std::uint8_t>> gbl_log_;  ///< per executed loop
-
-  // saving state (payloads packed at classification time)
-  std::vector<index_t> saved_dats_;
-  std::vector<std::vector<std::uint8_t>> saved_payloads_;
-  bool checkpoint_complete_ = false;
-
-  // replay state
-  bool replaying_ = false;
-  index_t replay_entry_seq_ = -1;
-  std::vector<std::vector<std::uint8_t>> replay_gbl_;
-  std::vector<std::string> replay_names_;
-  apl::io::File replay_file_;  ///< the loaded checkpoint, kept for entry
 };
-
-namespace detail {
-
-/// Replays one global argument's recorded output during fast-forward.
-template <class T>
-void replay_gbl(Checkpointer& ck, ArgGbl<T>& g, std::size_t& offset) {
-  if (!writes(g.acc)) return;
-  const auto payload = ck.replay_gbl_payload();
-  const std::size_t bytes = static_cast<std::size_t>(g.dim) * sizeof(T);
-  apl::require(offset + bytes <= payload.size(),
-               "checkpoint replay: global-output log too short (nondeterministic"
-               " loop sequence?)");
-  std::memcpy(g.data, payload.data() + offset, bytes);
-  offset += bytes;
-}
-template <class T>
-void replay_gbl(Checkpointer&, ArgDat<T>&, std::size_t&) {}
-inline void replay_gbl(Checkpointer&, ArgIdx&, std::size_t&) {}
-
-/// Appends one global argument's output to the per-loop log.
-template <class T>
-void log_gbl(const ArgGbl<T>& g, std::vector<std::uint8_t>& out) {
-  if (!writes(g.acc)) return;
-  const std::size_t bytes = static_cast<std::size_t>(g.dim) * sizeof(T);
-  const std::size_t pos = out.size();
-  out.resize(pos + bytes);
-  std::memcpy(out.data() + pos, g.data, bytes);
-}
-template <class T>
-void log_gbl(const ArgDat<T>&, std::vector<std::uint8_t>&) {}
-inline void log_gbl(const ArgIdx&, std::vector<std::uint8_t>&) {}
-
-}  // namespace detail
 
 }  // namespace ops

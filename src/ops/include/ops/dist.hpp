@@ -24,24 +24,19 @@
 #include <vector>
 
 #include "apl/mpisim/comm.hpp"
-#include "apl/resilience.hpp"
+#include "apl/mpisim/ladder.hpp"
 #include "ops/context.hpp"
 #include "ops/par_loop.hpp"
 
-namespace apl::io {
-class CheckpointStore;
-class File;
-}
-
 namespace ops {
 
-class Distributed {
+class Distributed final : public apl::mpisim::Ladder {
 public:
   /// Decomposes every block of `ctx` over `nranks` ranks.
   Distributed(Context& ctx, int nranks);
 
   int num_ranks() const { return comm_.size(); }
-  apl::mpisim::Comm& comm() { return comm_; }
+  apl::mpisim::Comm& comm() override { return comm_; }
   const apl::mpisim::Comm& comm() const { return comm_; }
   Context& rank_context(int r) { return *rank_ctx_[r]; }
   void set_node_backend(Backend b);
@@ -66,31 +61,10 @@ public:
   /// Pushes global dat contents out to all ranks (owned + halo copies).
   void scatter(DatBase& global_dat);
 
-  // ---- fault tolerance (apl::fault + apl::io::CheckpointStore) -------------
-  /// Collective checkpoint: gathers every dataset into the global context
-  /// and writes one crash-safe snapshot tagged with `step`.
-  void checkpoint(apl::io::CheckpointStore& store, std::int64_t step);
-  /// Collective rollback after a rank failure: revives all ranks, restores
-  /// every dataset from the last good checkpoint and re-scatters. The bytes
-  /// moved are accounted as recovery traffic. Returns the recorded step.
-  std::int64_t recover(apl::io::CheckpointStore& store);
-  /// Shrink-and-continue recovery: removes the failed ranks, re-decomposes
-  /// every block over the survivors, restores all datasets from the last
-  /// good checkpoint re-scattered onto the new rank count, and resumes —
-  /// bitwise-identical to a failure-free run at that rank count.
-  std::int64_t shrink_recover(apl::io::CheckpointStore& store);
-  /// The degradation ladder (apl::resilience::policy()): revive rollback,
-  /// shrink (bounded), replicated single-rank fallback, or a named
-  /// LadderExhausted error. Never hangs.
-  std::int64_t recover_auto(apl::io::CheckpointStore& store);
-  /// recover_auto with the result *as data*: the rung reached, the resume
-  /// step, the ledger deltas (retries/shrinks/backoff/MTTR) this recovery
-  /// cost, and — on failure — the named error kind instead of a throw.
-  /// LadderExhausted and recovery errors are absorbed into the Outcome;
-  /// anything non-resilience (e.g. a fresh injected Kill) still throws.
-  apl::resilience::Outcome recover_outcome(apl::io::CheckpointStore& store);
-  /// Shrink-and-continue recoveries performed so far (ladder bookkeeping).
-  int shrinks_done() const { return shrinks_done_; }
+  // Checkpointing and rank-failure recovery (checkpoint, recover,
+  // shrink_recover, recover_auto, recover_outcome, shrinks_done) are
+  // apl::mpisim::Ladder's; shrinking re-decomposes every block over the
+  // survivors.
 
 private:
   struct Decomp {
@@ -104,9 +78,15 @@ private:
   void init_decomposition();
   /// Builds one private context per rank and scatters every dataset.
   void build_rank_contexts();
+  // ---- apl::mpisim::Ladder hooks
+  void dump_global(apl::io::File& file) override;
   /// Named expected-vs-found diagnostic for a checkpoint whose dataset
   /// layout does not match this grid, instead of a generic size mismatch.
-  void validate_checkpoint_layout(const apl::io::File& file) const;
+  void validate_layout(const apl::io::File& file,
+                       const std::string& origin) const override;
+  void restore_global(const apl::io::File& file) override;
+  void rebuild_ranks(bool shrunk) override;
+  std::uint64_t replica_bytes() const override;
   std::array<int, kMaxDim> rank_coords(const Decomp& dec, int r) const;
   /// Owned interval of rank coordinate c in dimension d, clamped to a
   /// dataset extent `s`; edge ranks extend into the physical halo.
@@ -134,7 +114,6 @@ private:
   // reapply them to freshly rebuilt rank contexts.
   std::optional<Backend> node_backend_;
   bool node_lazy_ = false;
-  int shrinks_done_ = 0;
 
   // ---- typed helpers ---------------------------------------------------
 
@@ -165,7 +144,7 @@ private:
     DistGbl<T> st{&g, {}};
     if (g.acc != Access::kRead) {
       st.per_rank.assign(static_cast<std::size_t>(num_ranks()) * g.dim,
-                         detail::ops_reduction_identity<T>(g.acc));
+                         apl::exec::reduction_identity<T>(g.acc));
     }
     return st;
   }
@@ -202,32 +181,8 @@ private:
   template <class T>
   void finish_state(DistGbl<T>& st) {
     if (st.user->acc == Access::kRead) return;
-    using Op = apl::mpisim::Comm::ReduceOp;
-    const Op op = st.user->acc == Access::kInc   ? Op::kSum
-                  : st.user->acc == Access::kMin ? Op::kMin
-                                                 : Op::kMax;
-    std::vector<double> contrib(st.user->dim);
-    for (int r = 0; r < num_ranks(); ++r) {
-      for (index_t d = 0; d < st.user->dim; ++d) {
-        contrib[d] = static_cast<double>(
-            st.per_rank[static_cast<std::size_t>(r) * st.user->dim + d]);
-      }
-      comm_.allreduce_begin(r, contrib, op);
-    }
-    const auto result = comm_.allreduce_end();
-    for (index_t d = 0; d < st.user->dim; ++d) {
-      const T v = static_cast<T>(result[d]);
-      switch (st.user->acc) {
-        case Access::kInc: st.user->data[d] += v; break;
-        case Access::kMin:
-          st.user->data[d] = std::min(st.user->data[d], v);
-          break;
-        case Access::kMax:
-          st.user->data[d] = std::max(st.user->data[d], v);
-          break;
-        default: break;
-      }
-    }
+    apl::mpisim::allreduce_into(comm_, st.user->acc, st.per_rank,
+                                st.user->dim, st.user->data);
   }
 };
 

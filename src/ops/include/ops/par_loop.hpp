@@ -9,7 +9,6 @@
 #pragma once
 
 #include <algorithm>
-#include <limits>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -71,23 +70,13 @@ inline const int* point_param(ArgIdx& a, const Cursor& c) {
 // ---- reduction scratch (same scheme as op2) --------------------------------
 
 template <class T>
-T ops_reduction_identity(Access acc) {
-  switch (acc) {
-    case Access::kInc: return T{};
-    case Access::kMin: return std::numeric_limits<T>::max();
-    case Access::kMax: return std::numeric_limits<T>::lowest();
-    default: return T{};
-  }
-}
-
-template <class T>
 void prepare_gbl(ArgGbl<T>& g, std::size_t slots) {
   if (g.acc == Access::kRead || slots == 0) {
     g.scratch.clear();
     return;
   }
   g.scratch.assign(slots * static_cast<std::size_t>(g.dim),
-                   ops_reduction_identity<T>(g.acc));
+                   apl::exec::reduction_identity<T>(g.acc));
 }
 template <class T>
 void prepare_gbl(ArgDat<T>&, std::size_t) {}
@@ -385,8 +374,9 @@ void par_loop(Context& ctx, const std::string& name, const Block& block,
     std::size_t ck_i = 0;
     (detail::classify_ckpt_write(*ck, range, args, ck_infos[ck_i++]), ...);
     if (ck->on_loop(name, ck_infos) == Checkpointer::LoopAction::kSkipReplay) {
+      const auto payload = ck->replay_gbl_payload();
       std::size_t gbl_index = 0;
-      (detail::replay_gbl(*ck, args, gbl_index), ...);
+      (apl::ckpt::replay_gbl(payload, args, gbl_index), ...);
       ck->finish_replayed_loop();
       return;
     }
@@ -449,7 +439,7 @@ void par_loop(Context& ctx, const std::string& name, const Block& block,
     // kRead globals contribute nothing to the log.
     if (Checkpointer* ck = ctx.checkpointer()) {
       std::vector<std::uint8_t> gbl_log;
-      (detail::log_gbl(args, gbl_log), ...);
+      (apl::ckpt::log_gbl(args, gbl_log), ...);
       ck->after_loop(gbl_log);
     }
     return;
@@ -507,7 +497,7 @@ void par_loop(Context& ctx, const std::string& name, const Block& block,
 
   if (Checkpointer* ck = ctx.checkpointer()) {
     std::vector<std::uint8_t> gbl_log;
-    (detail::log_gbl(args, gbl_log), ...);
+    (apl::ckpt::log_gbl(args, gbl_log), ...);
     ck->after_loop(gbl_log);
   }
 }

@@ -721,34 +721,22 @@ const ChainSchedule& Context::plan_for(const PlanRequest& req) {
   ck.config = conf;
   ck.version = kChainIrVersion;
   ck.label = req.label;
-  std::unique_ptr<ChainSchedule> sched;
-  if (store.enabled()) {
-    if (auto payload = store.load(ck)) {
-      apl::trace::Span span(apl::trace::kPlan, "chain_hit:" + req.label);
-      std::string diag;
-      if (auto decoded = decode_schedule(*payload, *this, chain, &diag)) {
-        sched = std::make_unique<ChainSchedule>(std::move(*decoded));
-        span.set_elements(chain.size());
-        span.set_bytes(payload->size());
-      } else {
-        // Container-valid but IR-invalid (e.g. a hash collision or a
-        // builder bug): surface it like corruption and re-analyze.
-        store.note_corrupt(diag);
-      }
-    }
-  }
-  const bool built = sched == nullptr;
-  if (built) {
-    // Chain analysis is a cache miss: span it so a warm run's "no
-    // analysis at all" claim is checkable from the trace.
-    apl::trace::Span span(apl::trace::kPlan, "chain_analyze:" + req.label);
-    sched = std::make_unique<ChainSchedule>(detail::analyze_chain(*this, chain));
-    span.set_elements(chain.size());
-  }
+  std::unique_ptr<ChainSchedule> sched =
+      apl::plan_cache::load_or_build<ChainSchedule>(
+          store, ck, "chain_hit:", chain.size(),
+          [&](const std::vector<std::uint8_t>& payload, std::string* diag) {
+            return decode_schedule(payload, *this, chain, diag);
+          },
+          [&] {
+            // Chain analysis is a cache miss: span it so a warm run's "no
+            // analysis at all" claim is checkable from the trace.
+            apl::trace::Span span(apl::trace::kPlan,
+                                  "chain_analyze:" + req.label);
+            span.set_elements(chain.size());
+            return detail::analyze_chain(*this, chain);
+          },
+          encode_schedule);
   sched->signature = key;
-  if (built && store.enabled()) {
-    store.save(ck, encode_schedule(*sched));
-  }
   add_plan_seconds(apl::now_seconds() - t0);
   const auto [it, inserted] = schedules_.emplace(key, std::move(sched));
   return *it->second;

@@ -20,6 +20,7 @@
 // `op2::Backend`) that existed for one deprecation release are gone.
 #pragma once
 
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -58,6 +59,17 @@ inline bool reads(Access a) {
 }
 /// True if the kernel modifies the value.
 inline bool writes(Access a) { return a != Access::kRead; }
+
+/// Starting value of a global reduction's partials (op2 and ops, every
+/// backend and the distributed layers).
+template <class T>
+T reduction_identity(Access acc) {
+  switch (acc) {
+    case Access::kMin: return std::numeric_limits<T>::max();
+    case Access::kMax: return std::numeric_limits<T>::lowest();
+    default: return T{};
+  }
+}
 
 /// Parses a backend name ("seq", "simd", "threads", "cudasim");
 /// std::nullopt if the spelling is unknown.

@@ -11,6 +11,8 @@
 
 #include "op2/op2.hpp"
 #include "apl/testkit/fixtures.hpp"
+#include "../support/expect_error.hpp"
+#include "../support/replay_log_defects.hpp"
 
 namespace {
 
@@ -312,6 +314,17 @@ TEST(CheckpointRestart, DivergentReplaySequenceFails) {
     EXPECT_THROW(app.update(), apl::Error);
   }
   std::remove(path.c_str());
+}
+
+TEST(CheckpointRestart, MalformedReplayLogIsANamedError) {
+  const std::string path = temp_path("restart_malformed_log");
+  for (const auto& defect : replay_log_defects::all()) {
+    SCOPED_TRACE(defect.what);
+    apl::io::CheckpointStore(path).save(defect.file);
+    MiniAirfoil app;
+    EXPECT_APL_ERROR(defect.field, op2::Checkpointer::restore(app.ctx, path));
+  }
+  apl::io::CheckpointStore(path).remove_files();
 }
 
 }  // namespace

@@ -13,6 +13,8 @@
 
 #include "ops/dist.hpp"
 #include "ops/ops.hpp"
+#include "../support/expect_error.hpp"
+#include "../support/replay_log_defects.hpp"
 
 namespace {
 
@@ -244,6 +246,17 @@ TEST(OpsCheckpointRestart, DivergentReplaySequenceFails) {
     EXPECT_THROW(app.update(), apl::Error);  // recorded chain starts at copy
     ck.store().remove_files();
   }
+}
+
+TEST(OpsCheckpointRestart, MalformedReplayLogIsANamedError) {
+  const std::string base = temp_base("ops_restart_malformed_log");
+  for (const auto& defect : replay_log_defects::all()) {
+    SCOPED_TRACE(defect.what);
+    apl::io::CheckpointStore(base).save(defect.file);
+    MiniStep app;
+    EXPECT_APL_ERROR(defect.field, ops::Checkpointer::restore(app.ctx, base));
+  }
+  apl::io::CheckpointStore(base).remove_files();
 }
 
 }  // namespace

@@ -52,10 +52,11 @@ OPAL_TRACE="$build/tier1.trace.json" ctest --test-dir "$build" -L tier1 \
 # Resilience stage: the retry + shrink ladder end to end. The kill-sweep
 # fault matrix (every rank killed across the exchange ordinals of Airfoil
 # and a lazy CloverLeaf chain, bitwise gate against a failure-free run at
-# the surviving rank count) runs as the ShrinkRecover tier-1 tests; the
+# the surviving rank count) runs as the ShrinkRecover tier-1 tests, with
+# every ladder rung taken on both families (ShrinkRecoverFamily); the
 # bench_report gate replays one faulted run and checks the ledger columns.
-"$build/tests/test_resilience" --gtest_filter='ShrinkRecoverTest.*' \
-  --gtest_brief=1
+"$build/tests/test_resilience" \
+  --gtest_filter='ShrinkRecoverTest.*:*/ShrinkRecoverFamily.*' --gtest_brief=1
 "$build/tools/bench_report" --check-resilience
 
 # Serve stage: the multi-tenant chaos soak. The opal_serve example runs a
@@ -81,13 +82,13 @@ OPAL_TRACE="$build/tier1.trace.json" ctest --test-dir "$build" -L tier1 \
 # failed). It asserts no timings.
 CARGO_TARGET_DIR="$build/perfbench" python3 "$repo/perfbench/test_perfbench.py"
 
-# Perf-trajectory stage: regenerate the checked-in per-loop benchmark
-# record (Airfoil lazy-tiled + CloverLeaf eager/lazy, roofline join and
+# Perf-trajectory stage: regenerate the per-loop benchmark record
+# (Airfoil lazy-tiled + CloverLeaf eager/lazy, roofline join and
 # fused-chain columns included, plus the plan-analysis cold/warm,
 # recovery-overhead/MTTR, multi-tenant service and eager-vs-tiled
-# columns). BENCH_pr8.json stays checked in as the eager trajectory
-# point the tiled fractions are measured against.
-(cd "$repo" && "$build/tools/bench_report" --out BENCH_pr10.json > /dev/null)
+# columns) under the build tree, so a CI run never rewrites the
+# checked-in BENCH_*.json trajectory points.
+(cd "$build" && "$build/tools/bench_report" --out BENCH_ci.json > /dev/null)
 
 if [[ -n "${CI_SANITIZE:-}" ]]; then
   san_build="$build-$CI_SANITIZE"
@@ -97,7 +98,8 @@ if [[ -n "${CI_SANITIZE:-}" ]]; then
   ctest --test-dir "$san_build" -L tier1 --output-on-failure -j "$(nproc)"
   # The kill sweep must stay clean under the sanitizer too (the ISSUE's
   # APL_SANITIZE=thread configuration when CI_SANITIZE=thread).
-  "$san_build/tests/test_resilience" --gtest_filter='ShrinkRecoverTest.*' \
+  "$san_build/tests/test_resilience" \
+    --gtest_filter='ShrinkRecoverTest.*:*/ShrinkRecoverFamily.*' \
     --gtest_brief=1
   # And so must the serve soak: watchdog vs worker vs submitter is exactly
   # the kind of race ThreadSanitizer exists to catch.
