@@ -238,7 +238,7 @@ index_t Context::unique_targets(const Map& m) const {
 
 void Context::invalidate_plans() {
   plans_.clear();
-  tile_schedules_.clear();
+  forget_plans();
   // Every caller of this (renumbering, layout conversion, fault
   // injection into map tables) changed what the topology hash covers.
   topology_hash_.reset();

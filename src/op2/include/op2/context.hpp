@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "apl/chain.hpp"
 #include "apl/exec.hpp"
 #include "apl/profile.hpp"
 #include "op2/arg.hpp"
@@ -38,12 +39,12 @@ struct DeviceReport {
 };
 
 /// The unified execution API (backend selection, debug checks, lazy mode,
-/// profile, flop hints) lives on the apl::exec::ExecContext base. With
-/// set_lazy(true), par_loop enqueues LoopRecords and flush points run the
-/// chain through the sparse-tiling inspector/executor (op2/lazy.hpp) —
-/// the unstructured-mesh counterpart of the OPS lazy engine
-/// (ops/lazy.hpp); set_tiling()/set_tile_size() control the fusion.
-class Context : public apl::exec::ExecContext {
+/// profile, flop hints) and the lazy chain engine (queue, flush points,
+/// resume, chain stats) are the apl::chain::Engine base's (apl/chain.hpp),
+/// shared with ops::Context. This family supplies the sparse-tiling
+/// inspector and its step table (op2/lazy.hpp); set_tiling() and
+/// set_tile_size() control the fusion.
+class Context : public apl::chain::Engine<Context, LoopRecord, TileSchedule> {
 public:
   Context() = default;
 
@@ -60,7 +61,7 @@ public:
     auto dat = std::make_unique<Dat<T>>(
         static_cast<index_t>(dats_.size()), set, dim, init, name);
     Dat<T>& ref = *dat;
-    ref.attach_context(this, &pending_flush_);
+    ref.attach_context(this, pending_flag());
     dats_.push_back(std::move(dat));
     topology_hash_.reset();
     return ref;
@@ -77,7 +78,7 @@ public:
   DatBase* find_dat(const std::string& name);
   Map* find_map(const std::string& name);
 
-  // ---- execution configuration (beyond the ExecContext base)
+  // ---- execution configuration (beyond the apl::exec::ExecContext base)
   index_t block_size() const { return block_size_; }
   void set_block_size(index_t b);
   /// cudasim: stage indirect data through shared memory (Fig. 7
@@ -85,13 +86,8 @@ public:
   bool staging() const { return staging_; }
   void set_staging(bool on) { staging_ = on; }
 
-  // ---- lazy loop-chain execution (op2/lazy.hpp)
-  /// Turning lazy off flushes (base behavior), and turning it on/off
-  /// keeps the dats' pending-flush flag coherent.
-  void set_lazy(bool on) override {
-    apl::exec::ExecContext::set_lazy(on);
-    update_pending();
-  }
+  // ---- lazy loop-chain execution (op2/lazy.hpp); the queue, flush and
+  // resume surface is the shared chain engine's (apl/chain.hpp).
   /// Allow/forbid cross-loop sparse tiling; with tiling off (or when the
   /// traffic model vetoes fusion) lazy chains replay verbatim.
   bool tiling() const { return tiling_; }
@@ -107,18 +103,6 @@ public:
     tile_size_ = elems;
     invalidate_plans();
   }
-  /// par_loop calls this instead of executing when a record is queued.
-  void enqueue(LoopRecord rec);
-  /// True while the executor is draining the chain (par_loop then runs
-  /// eagerly as a chain member instead of re-enqueueing itself).
-  bool chain_executing() const { return chain_executing_; }
-  std::size_t chain_length() const { return chain_.size(); }
-  /// True when an interrupted chain is parked awaiting the next flush.
-  bool chain_resumable() const { return resume_ != nullptr; }
-  /// Parks the remainder of an interrupted chain (tile executor only).
-  void store_resume(ChainResume resume);
-  const ChainStats& chain_stats() const { return chain_stats_; }
-
   /// Team for the threaded color-round tile executor. Non-owning; the
   /// pool must outlive every flush of this context, and must not be a
   /// pool the calling thread is itself a task worker of (the round
@@ -136,10 +120,9 @@ public:
   /// process-wide pool (sized by OPAL_NUM_THREADS).
   apl::ThreadPool& tile_team() const;
 
-  /// Tile-schedule entry point, mirroring plan_for(PlanRequest): memoized
-  /// per (topology, program, config, IR-version) signature, then the
-  /// persistent plan cache (kind "op2chain"), then the inspector. Guarded
-  /// mode (apl::verify::kPlan) race-audits every returned schedule.
+  /// The tile schedule of a queued chain (kind "op2chain"), through the
+  /// chain engine's memo, then the plan cache, then the inspector. Guarded
+  /// mode (apl::verify::kPlan) race-audits every schedule it memoizes.
   const TileSchedule& plan_for(const ChainPlanRequest& req);
 
   // ---- run-time services used by par_loop
@@ -198,14 +181,25 @@ public:
   /// Invalidates all cached plans (called after renumbering/layout change).
   void invalidate_plans();
 
-protected:
-  /// Flush point: completes any parked resume, then runs the queued chain
-  /// through the inspector/executor. Reentrant calls (a chain member
-  /// touching a dat) are no-ops.
-  void do_flush() override;
-
 private:
-  void update_pending();
+  // ---- the chain engine's family hooks (apl/chain.hpp, op2/lazy.cpp)
+  friend class apl::chain::Engine<Context, LoopRecord, TileSchedule>;
+  static constexpr apl::chain::Names kChainNames{
+      "op2",        "chain_flush:op2chain", "chain_resume:op2chain",
+      "op2::flush", "op2::tile",            "op2::round"};
+  const TileSchedule& plan_chain(const std::vector<LoopRecord>& chain) {
+    ChainPlanRequest req;
+    req.chain = &chain;
+    return plan_for(req);
+  }
+  bool begin_chain(const TileSchedule& sched,
+                   const std::vector<LoopRecord>& chain,
+                   apl::chain::Stats& stats, apl::trace::Span& span);
+  detail::ChainSteps chain_steps(const TileSchedule& sched,
+                                 const std::vector<LoopRecord>& chain,
+                                 bool rounds);
+  void account_chain(const TileSchedule& sched,
+                     const std::vector<LoopRecord>& chain);
 
   struct PlanKey {
     std::string loop;
@@ -226,15 +220,7 @@ private:
   mutable std::optional<std::uint64_t> topology_hash_;
   Checkpointer* checkpointer_ = nullptr;
 
-  // Lazy loop-chain state (op2/lazy.hpp). `pending_flush_` is the flag
-  // every declared dat watches from touch(); it is true exactly when a
-  // flush would run work.
-  std::vector<LoopRecord> chain_;
-  std::map<std::uint64_t, std::unique_ptr<TileSchedule>> tile_schedules_;
-  ChainStats chain_stats_;
-  std::unique_ptr<ChainResume> resume_;
-  bool chain_executing_ = false;
-  bool pending_flush_ = false;
+  // Lazy loop-chain configuration (op2/lazy.hpp).
   bool tiling_ = true;
   index_t tile_size_ = 0;
   apl::ThreadPool* tile_team_ = nullptr;  ///< non-owning executor override

@@ -168,36 +168,12 @@ private:
 
   /// Per-rank private globals for reductions.
   template <class T>
-  struct DistGbl {
-    ArgGbl<T>* user;
-    std::vector<T> per_rank;  ///< nranks * dim, identity-initialized
-  };
-  template <class T>
-  struct DistGblTag {};
-
-  template <class T>
-  DistGbl<T> make_dist_state(ArgGbl<T>& g) {
-    DistGbl<T> st{&g, {}};
-    if (g.acc != apl::exec::Access::kRead) {
-      st.per_rank.assign(
-          static_cast<std::size_t>(num_ranks()) * g.dim,
-          apl::exec::reduction_identity<T>(g.acc));
-    }
-    return st;
+  apl::mpisim::RankPartials<ArgGbl<T>> make_dist_state(ArgGbl<T>& g) {
+    return {g, num_ranks()};
   }
   template <class T>
   ArgDat<T>* make_dist_state(ArgDat<T>&) {
     return nullptr;  // dats need no per-loop distributed state
-  }
-
-  template <class T>
-  ArgGbl<T> rank_gbl(DistGbl<T>& st, int r) {
-    if (st.user->acc == apl::exec::Access::kRead) {
-      return ArgGbl<T>{st.user->data, st.user->dim, st.user->acc, {}};
-    }
-    return ArgGbl<T>{st.per_rank.data() +
-                         static_cast<std::size_t>(r) * st.user->dim,
-                     st.user->dim, st.user->acc, {}};
   }
 
   // Pairs the user arg pack with the state tuple during expansion.
@@ -206,16 +182,15 @@ private:
     return rank_arg(a, r);
   }
   template <class T>
-  ArgGbl<T> rank_arg_or_gbl(int r, ArgGbl<T>& /*g*/, DistGbl<T>& st) {
-    return rank_gbl(st, r);
+  ArgGbl<T> rank_arg_or_gbl(int r, ArgGbl<T>& /*g*/,
+                            apl::mpisim::RankPartials<ArgGbl<T>>& st) {
+    return st.rank_arg(r);
   }
   template <class T>
   void finish_any(ArgDat<T>* /*state*/) {}
   template <class T>
-  void finish_any(DistGbl<T>& st) {
-    if (st.user->acc == apl::exec::Access::kRead) return;
-    apl::mpisim::allreduce_into(comm_, st.user->acc, st.per_rank,
-                                st.user->dim, st.user->data);
+  void finish_any(apl::mpisim::RankPartials<ArgGbl<T>>& st) {
+    st.finish(comm_);
   }
 };
 

@@ -1,21 +1,10 @@
 // Lazy loop-chain execution with inspector/executor sparse tiling for
 // unstructured meshes.
 //
-// With Context::set_lazy(true), op2::par_loop no longer executes: it
-// enqueues a LoopRecord (name, target set, access descriptors, and two
-// type-erased executors) into the context's loop chain. The chain runs at
-// a *flush point*:
-//
-//   - an explicit ctx.flush(),
-//   - a loop carrying a global reduction (the caller reads the result
-//     right after par_loop returns, so the chain — including that loop —
-//     runs before control returns),
-//   - raw data access (Dat::raw / storage / to_vector and the pack /
-//     unpack / add entry points distribution and checkpointing use),
-//   - a halo exchange or increment flush in the distributed layer (these
-//     reach data through the pack/unpack hooks above), and
-//   - an attached checkpointer, debug checks or kAccess guarding (the
-//     loop then drains the queue and runs eagerly).
+// With Context::set_lazy(true), op2::par_loop enqueues a LoopRecord into
+// the shared chain engine's queue (apl/chain.hpp lists the flush points;
+// here an attached checkpointer, debug checks or kAccess guarding also
+// drain the queue and run the loop eagerly).
 //
 // At a flush the *inspector* walks the queued loops' maps and access
 // descriptors and grows sparse tiles by wavefront over the shared dats
@@ -54,13 +43,10 @@
 // "op2chain", versioned by op2::kPlanIrVersion) and persist in
 // apl::plan_cache::Store keyed by topology x program x config — warm
 // starts skip inspection entirely (proved by trace spans: a warm flush
-// emits chain_hit:, never chain_analyze:). Execution emits one kChain
-// span per flush and a kTile span per tile slice, and respects
-// apl::cancel tokens at every tile boundary: a deadline/cancel (or a
-// scheduler preemption request) takes effect between tiles, the
-// remainder of the schedule is parked as a ChainResume on the context,
-// and the next flush completes it exactly — the queue is never left
-// half-flushed.
+// emits chain_hit:, never chain_analyze:). The engine's steps here are
+// records (verbatim), tiles (serial walk) or color rounds (team); cancel
+// and preemption take effect between them (apl/chain.hpp). Execution
+// emits one kChain span per flush and a kTile span per tile slice.
 #pragma once
 
 #include <cstdint>
@@ -70,6 +56,7 @@
 #include <string>
 #include <vector>
 
+#include "apl/chain.hpp"
 #include "op2/arg.hpp"
 #include "op2/mesh.hpp"
 
@@ -95,29 +82,10 @@ struct LoopRecord {
   std::function<void(index_t, index_t)> run_slice;
 };
 
-/// Accumulated lazy-engine statistics, exposed through
+/// Lazy-engine statistics (apl/chain.hpp), exposed through
 /// Context::chain_stats() and reported by bench_report's op2-tiling
 /// columns.
-struct ChainStats {
-  std::uint64_t flushes = 0;    ///< chains executed
-  std::uint64_t loops = 0;      ///< loops executed through chains
-  std::uint64_t tiles = 0;      ///< tile slices' tiles (1 per loop if unfused)
-  std::uint64_t rounds = 0;     ///< color rounds executed by the team path
-  std::uint64_t verbatim = 0;   ///< chains replayed unfused
-  std::uint64_t max_chain = 0;  ///< longest chain seen
-  /// Modeled DRAM traffic: each loop streaming all its arguments (what
-  /// eager execution does) vs. each dat entry entering cache once per
-  /// tile it is touched in.
-  std::uint64_t eager_bytes = 0;
-  std::uint64_t tiled_bytes = 0;
-
-  double traffic_saved_fraction() const {
-    return eager_bytes == 0
-               ? 0.0
-               : 1.0 - static_cast<double>(tiled_bytes) /
-                           static_cast<double>(eager_bytes);
-  }
-};
+using ChainStats = apl::chain::Stats;
 
 /// Compiled execution schedule of one flushed chain — the inspector's
 /// output with the inspection itself stripped away. When `fused` is
@@ -156,24 +124,14 @@ struct ChainPlanRequest {
   const std::vector<LoopRecord>* chain = nullptr;
 };
 
-/// A chain flush interrupted at a tile boundary (apl::cancel deadline /
-/// user cancel / preemption): the not-yet-executed remainder. Parked on
-/// the context; the next flush point completes exactly the remaining
-/// tiles, so cancellation never leaves a chain half-flushed. The records
-/// still reference the enqueue-time argument storage (frozen kRead
-/// globals excepted), so a resume must happen while that storage lives —
-/// drivers that destroy the job instead (apl::serve retries from a
-/// checkpoint) simply discard the context, resume state and all.
-struct ChainResume {
-  std::vector<LoopRecord> chain;
-  TileSchedule sched;
-  /// Next tile (fused) / next record (unfused) / next color round (when
-  /// `rounds` — the chain parked at a round boundary of the threaded
-  /// executor and resumes round-wise, degrading to serial-within-rounds
-  /// if the team has been disabled meanwhile).
-  std::size_t next = 0;
-  bool rounds = false;
-};
+/// A chain flush interrupted at a step boundary (apl::cancel deadline /
+/// user cancel / preemption): the not-yet-executed remainder, parked on
+/// the context until the next flush point completes exactly the
+/// remaining steps. `next` is the next tile (fused), record (unfused) or
+/// color round (when `rounds`: the chain parked at a round boundary of
+/// the threaded executor and resumes round-wise, degrading to
+/// serial-within-rounds if the team has been disabled meanwhile).
+using ChainResume = apl::chain::Resume<LoopRecord, TileSchedule>;
 
 /// Serializes a tile schedule into the section-framed Plan IR payload
 /// stored in the on-disk plan cache (kind "op2chain"; the signature is
@@ -211,18 +169,24 @@ namespace detail {
 TileSchedule build_tile_schedule(const Context& ctx,
                                  const std::vector<LoopRecord>& chain);
 
-/// Executes a flushed chain: obtains the schedule via Context::plan_for
-/// (memoized per signature, then the persistent cache, then the
-/// inspector), runs it tile by tile with cancellation/preemption checks
-/// at every tile boundary, and accumulates per-loop profile stats plus
-/// chain stats. On interruption the remainder is parked on the context
-/// before the apl::cancel::Cancelled propagates.
-void execute_chain(Context& ctx, std::vector<LoopRecord> chain,
-                   ChainStats& stats);
+/// One walk's step sequence over an op2 schedule (apl/chain.hpp): whole
+/// records for a verbatim schedule, tiles for the serial fused walk, or
+/// color rounds for the team — `step` is the step kind's executor.
+struct ChainSteps {
+  ChainSteps(Context& c, const TileSchedule& s,
+             const std::vector<LoopRecord>& records, bool by_round);
+  std::size_t size() const { return count; }
+  void run(std::size_t i, apl::chain::Stats& stats) const {
+    step(*this, i, stats);
+  }
 
-/// Completes a parked ChainResume (throws again, re-parking, if the
-/// token is still cancelled).
-void resume_chain(Context& ctx, ChainResume resume, ChainStats& stats);
+  Context& ctx;
+  const TileSchedule& sched;
+  const std::vector<LoopRecord>& chain;
+  std::vector<std::vector<index_t>> rounds;  ///< tiles per color (rounds)
+  std::size_t count = 0;
+  void (*step)(const ChainSteps&, std::size_t, apl::chain::Stats&) = nullptr;
+};
 
 }  // namespace detail
 

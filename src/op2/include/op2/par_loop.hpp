@@ -76,39 +76,6 @@ Acc<T> element_acc_t(ArgGbl<T>& g, index_t /*e*/, std::size_t tid) {
   return Acc<T>(p, 1);
 }
 
-// ---- global-reduction scratch ------------------------------------------
-
-template <class T>
-void prepare_gbl(ArgGbl<T>& g, std::size_t slots) {
-  if (g.acc == apl::exec::Access::kRead || slots == 0) {
-    g.scratch.clear();
-    return;
-  }
-  g.scratch.assign(slots * static_cast<std::size_t>(g.dim),
-                   apl::exec::reduction_identity<T>(g.acc));
-}
-template <class T>
-void prepare_gbl(ArgDat<T>&, std::size_t) {}
-
-template <class T>
-void finish_gbl(ArgGbl<T>& g, std::size_t slots) {
-  if (g.scratch.empty()) return;
-  for (std::size_t s = 0; s < slots; ++s) {
-    for (index_t d = 0; d < g.dim; ++d) {
-      const T v = g.scratch[s * g.dim + d];
-      switch (g.acc) {
-        case apl::exec::Access::kInc: g.data[d] += v; break;
-        case apl::exec::Access::kMin: g.data[d] = std::min(g.data[d], v); break;
-        case apl::exec::Access::kMax: g.data[d] = std::max(g.data[d], v); break;
-        default: break;
-      }
-    }
-  }
-  g.scratch.clear();
-}
-template <class T>
-void finish_gbl(ArgDat<T>&, std::size_t) {}
-
 // ---- debug checks (paper Sec. II-C consistency mechanisms) --------------
 
 template <class T>
@@ -138,42 +105,6 @@ void debug_verify(const ArgGbl<T>& g, const std::vector<T>& snap,
 }
 
 // ---- lazy-chain enqueue support (op2/lazy.hpp) -----------------------------
-
-// A queued loop must not observe later mutations of kRead globals (the
-// caller may reuse the variable before the flush), so enqueue snapshots
-// them; reduction targets are left live — a reduction forces an immediate
-// flush anyway. Same freeze/thaw pattern as the OPS lazy engine.
-template <class T>
-struct GblSnapshot {
-  ArgGbl<T> g;
-  std::vector<T> snap;  ///< non-empty only for kRead globals
-};
-
-template <class T>
-ArgDat<T> freeze(const ArgDat<T>& a) {
-  return a;
-}
-template <class T>
-GblSnapshot<T> freeze(const ArgGbl<T>& g) {
-  GblSnapshot<T> s{g, {}};
-  if (g.acc == apl::exec::Access::kRead) {
-    s.snap.assign(g.data, g.data + g.dim);
-  }
-  return s;
-}
-
-// thaw re-points the frozen global at its snapshot on *every* call: the
-// frozen tuple is copied around with its lambda, and the data pointer must
-// chase the copy that is actually executing.
-template <class T>
-ArgDat<T>& thaw(ArgDat<T>& a) {
-  return a;
-}
-template <class T>
-ArgGbl<T>& thaw(GblSnapshot<T>& s) {
-  if (!s.snap.empty()) s.g.data = s.snap.data();
-  return s.g;
-}
 
 /// False when packed (SIMD) execution of a slice could pair elements that
 /// conflict through a dat some argument reads live (not the kInc
@@ -267,7 +198,7 @@ void run_threads(Context& ctx, const std::string& name, const Set& /*set*/,
                  const Plan& plan, Kernel&& k, Args&... args) {
   apl::ThreadPool& pool = apl::ThreadPool::global();
   const std::size_t team = pool.size();
-  (prepare_gbl(args, team), ...);
+  (apl::exec::prepare_gbl(args, team), ...);
   index_t ncolors = plan.num_block_colors;
 #ifdef APL_MUTATE_OP2_SKIP_LAST_COLOR
   // Mutation hook for the testkit smoke tests: drop the last plan color,
@@ -299,7 +230,7 @@ void run_threads(Context& ctx, const std::string& name, const Set& /*set*/,
           }
         });
   }
-  (finish_gbl(args, team), ...);
+  (apl::exec::finish_gbl(args, team), ...);
   ctx.profile().stats(name).colors +=
       static_cast<std::uint64_t>(plan.num_block_colors);
 }
@@ -592,9 +523,11 @@ void par_loop(Context& ctx, const std::string& name, const Set& set,
       rec.n = set.core_size();
       rec.simd_pack_safe = detail::simd_pack_safe(infos);
       rec.infos = infos;
+      // kRead globals are snapshotted now (apl::chain::freeze): the
+      // caller may reuse the variable before the flush.
       rec.run_full = [&ctx, name, sp = &set, kernel = kernel,
-                      frozen =
-                          std::make_tuple(detail::freeze(args)...)]() mutable {
+                      frozen = std::make_tuple(
+                          apl::chain::freeze(args)...)]() mutable {
         std::apply(
             [&](auto&... fz) {
               auto run = [&](auto&... as) {
@@ -630,13 +563,13 @@ void par_loop(Context& ctx, const std::string& name, const Set& set,
                 // lifetime rule.
                 ctx.profile().stats(name).seconds += apl::now_seconds() - t0;
               };
-              run(detail::thaw(fz)...);
+              run(apl::chain::thaw(fz)...);
             },
             frozen);
       };
       rec.run_slice = [&ctx, name, pack_safe = rec.simd_pack_safe,
                        kernel = kernel,
-                       frozen = std::make_tuple(detail::freeze(args)...)](
+                       frozen = std::make_tuple(apl::chain::freeze(args)...)](
                           index_t lo, index_t hi) {
         // Per-call copy of the frozen tuple: the color-round executor may
         // run slices of the same loop concurrently on team members, and
@@ -664,18 +597,12 @@ void par_loop(Context& ctx, const std::string& name, const Set& set,
                 // would otherwise race on the map and lose increments.
                 ctx.profile().add_seconds(name, apl::now_seconds() - t0);
               };
-              run(detail::thaw(fz)...);
+              run(apl::chain::thaw(fz)...);
             },
             thawed);
       };
-      const bool reduction =
-          std::any_of(infos.begin(), infos.end(), [](const ArgInfo& a) {
-            return a.is_gbl && a.acc != apl::exec::Access::kRead;
-          });
+      // A reduction record flushes the chain, itself included, right here.
       ctx.enqueue(std::move(rec));
-      // The caller reads the reduction result as soon as par_loop
-      // returns, so the chain — this loop included — runs now.
-      if (reduction) ctx.flush();
       return;
     }
   }

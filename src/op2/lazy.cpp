@@ -1,7 +1,7 @@
 // Lazy loop-chain engine for OP2: the sparse-tiling inspector, the Plan IR
-// codec for tile schedules, the race audit, and the tile executor with
-// cancellation/preemption at tile boundaries. See op2/lazy.hpp for the
-// algorithm and the fusion legality rule.
+// codec for tile schedules, the race audit, and the step table the shared
+// chain engine (apl/chain.hpp) walks — records, tiles or color rounds.
+// See op2/lazy.hpp for the algorithm and the fusion legality rule.
 
 #include "op2/lazy.hpp"
 
@@ -13,7 +13,6 @@
 #include <set>
 #include <unordered_map>
 
-#include "apl/cancel.hpp"
 #include "apl/error.hpp"
 #include "apl/io/plan_cache.hpp"
 #include "apl/signature.hpp"
@@ -34,20 +33,13 @@ constexpr std::uint64_t kTileCacheBudget = 256u * 1024u;
 /// Below this, per-tile overhead dominates any reuse win.
 constexpr index_t kMinTileElems = 64;
 
-int traffic_passes(apl::exec::Access acc) {
-  return (reads(acc) ? 1 : 0) + (writes(acc) ? 1 : 0);
-}
-
 /// Eager traffic model for chains that never reach the exact stamp walk
 /// (unfused early-outs): every loop streams each argument once per pass.
 std::uint64_t streaming_bytes(const std::vector<LoopRecord>& chain) {
   std::uint64_t bytes = 0;
   for (const LoopRecord& rec : chain) {
-    for (const ArgInfo& a : rec.infos) {
-      if (a.is_gbl) continue;
-      bytes += static_cast<std::uint64_t>(rec.n) * a.dim * a.elem_bytes *
-               traffic_passes(a.acc);
-    }
+    bytes += apl::chain::streaming_bytes(rec.infos,
+                                         static_cast<std::uint64_t>(rec.n));
   }
   return bytes;
 }
@@ -262,32 +254,7 @@ std::uint64_t chain_config_hash(const Context& ctx) {
   return h.value();
 }
 
-// --- executor --------------------------------------------------------------
-
-/// Cancellation / preemption check between tiles (or, for the threaded
-/// executor, between color rounds — always on the submitting thread, so
-/// no round is ever half-started). On any interruption the
-/// not-yet-executed remainder (from `next` on) is parked on the context
-/// *before* the exception propagates, so the chain is never half-lost:
-/// the next flush point completes exactly the remaining tiles.
-void tile_boundary(Context& ctx, const TileSchedule& sched,
-                   std::vector<LoopRecord>& chain, std::size_t next,
-                   bool rounds = false) {
-  try {
-    apl::cancel::point(rounds ? "op2::round" : "op2::tile");
-    if (apl::cancel::yield_requested()) {
-      throw apl::cancel::Cancelled(
-          apl::cancel::Reason::kPreempt,
-          std::string("op2 chain preempted at ") +
-              (rounds ? "round" : "tile") + " boundary " +
-              std::to_string(next) +
-              " (remainder parked, next flush resumes)");
-    }
-  } catch (...) {
-    ctx.store_resume(ChainResume{std::move(chain), sched, next, rounds});
-    throw;
-  }
-}
+// --- steps -----------------------------------------------------------------
 
 void run_one_loop_slice(const LoopRecord& rec, index_t lo, index_t hi) {
   if (lo < hi) rec.run_slice(lo, hi);
@@ -318,25 +285,6 @@ void run_tile(const TileSchedule& sched, const std::vector<LoopRecord>& chain,
   }
 }
 
-/// Runs a schedule from position `start` (tile index when fused, record
-/// index when unfused), checking the cancel token at every boundary —
-/// including before the first one, so a pre-armed deadline parks the
-/// whole chain without running anything.
-void run_from(Context& ctx, const TileSchedule& sched,
-              std::vector<LoopRecord>& chain, std::size_t start) {
-  if (!sched.fused) {
-    for (std::size_t l = start; l < chain.size(); ++l) {
-      tile_boundary(ctx, sched, chain, l);
-      chain[l].run_full();
-    }
-    return;
-  }
-  for (auto t = static_cast<index_t>(start); t < sched.ntiles; ++t) {
-    tile_boundary(ctx, sched, chain, static_cast<std::size_t>(t));
-    run_tile(sched, chain, t);
-  }
-}
-
 /// True when a fused chain may run through the color-round team
 /// executor. Chains that write a live global (a reduction — by
 /// construction at most the chain's last loop, since par_loop flushes
@@ -364,52 +312,46 @@ std::vector<std::vector<index_t>> round_tiles(const TileSchedule& sched) {
   return rounds;
 }
 
-/// The threaded executor: ascending color rounds from round `start`,
-/// each round's tiles distributed over the context's tile team
-/// (contiguous chunks in ascending tile order) with the run_team barrier
-/// closing the round. Legality rests on the layered coloring (see
-/// color_tiles): every conflict crosses a round boundary, so rounds are
-/// data-race-free internally, and the barrier orders them — bitwise
-/// identity with the serial walk follows. Cancellation and preemption
-/// are checked at round boundaries only (on the submitting thread);
-/// interruption parks a round-wise ChainResume. Should the team be
-/// disabled by the time a parked chain resumes, rounds degrade to serial
-/// execution in the same order — still exact.
-void run_rounds_from(Context& ctx, const TileSchedule& sched,
-                     std::vector<LoopRecord>& chain, std::size_t start,
-                     ChainStats& stats) {
-  const std::vector<std::vector<index_t>> rounds = round_tiles(sched);
-  for (std::size_t c = start; c < rounds.size(); ++c) {
-    tile_boundary(ctx, sched, chain, c, /*rounds=*/true);
-    const std::vector<index_t>& tiles = rounds[c];
-    if (tiles.empty()) continue;  // decoded schedules may have color gaps
-    apl::trace::Span round_span(apl::trace::kColor, "chain_round:op2chain");
-    round_span.set_index(static_cast<std::int64_t>(c));
-    round_span.set_elements(tiles.size());
-    ++stats.rounds;
-    if (ctx.tile_team_enabled()) {
-      ctx.tile_team().parallel_for(
-          tiles.size(),
-          [&](std::size_t lo, std::size_t hi, std::size_t /*tid*/) {
-            for (std::size_t i = lo; i < hi; ++i) {
-              run_tile(sched, chain, tiles[i]);
-            }
-          });
-    } else {
-      for (const index_t t : tiles) run_tile(sched, chain, t);
-    }
-  }
+using detail::ChainSteps;
+
+/// An unfused (verbatim) schedule replays record `i` through the full
+/// eager backend dispatch.
+void run_record_step(const ChainSteps& s, std::size_t i, apl::chain::Stats&) {
+  s.chain[i].run_full();
 }
 
-/// Per-loop profile accounting, deferred to chain completion so an
-/// interrupted chain never double-counts: whichever flush finishes the
-/// chain (first run or a resume) accounts each loop exactly once. The
-/// run lambdas themselves only accumulate kernel seconds.
-void account_chain(Context& ctx, const std::vector<LoopRecord>& chain) {
-  for (const LoopRecord& rec : chain) {
-    apl::LoopStats& st = ctx.profile().stats(rec.name);
-    ++st.calls;
-    detail::account_traffic(ctx, rec.name, *rec.set, rec.infos, st);
+/// The serial walk: tile `i`, its loops in chain order.
+void run_tile_step(const ChainSteps& s, std::size_t i, apl::chain::Stats&) {
+  run_tile(s.sched, s.chain, static_cast<index_t>(i));
+}
+
+/// The threaded executor: color round `c`'s tiles distributed over the
+/// context's tile team (contiguous chunks in ascending tile order), the
+/// run_team barrier closing the round. Legality rests on the layered
+/// coloring (see color_tiles): every conflict crosses a round boundary,
+/// so rounds are data-race-free internally, and the barrier orders them —
+/// bitwise identity with the serial walk follows. The engine checks the
+/// cancel token between rounds, always on the submitting thread, so no
+/// round is ever half-started. Should the team be disabled by the time a
+/// parked chain resumes, rounds degrade to serial execution in the same
+/// order — still exact.
+void run_round_step(const ChainSteps& s, std::size_t c,
+                    apl::chain::Stats& stats) {
+  const std::vector<index_t>& tiles = s.rounds[c];
+  if (tiles.empty()) return;  // decoded schedules may have color gaps
+  apl::trace::Span round_span(apl::trace::kColor, "chain_round:op2chain");
+  round_span.set_index(static_cast<std::int64_t>(c));
+  round_span.set_elements(tiles.size());
+  ++stats.rounds;
+  if (s.ctx.tile_team_enabled()) {
+    s.ctx.tile_team().parallel_for(
+        tiles.size(), [&](std::size_t lo, std::size_t hi, std::size_t) {
+          for (std::size_t i = lo; i < hi; ++i) {
+            run_tile(s.sched, s.chain, tiles[i]);
+          }
+        });
+  } else {
+    for (const index_t t : tiles) run_tile(s.sched, s.chain, t);
   }
 }
 
@@ -804,52 +746,20 @@ TileSchedule build_tile_schedule(const Context& ctx,
   return s;
 }
 
-// --- chain execution -------------------------------------------------------
-
-void execute_chain(Context& ctx, std::vector<LoopRecord> chain,
-                   ChainStats& stats) {
-  if (chain.empty()) return;
-  apl::trace::Span chain_span(apl::trace::kChain, "chain_flush:op2chain");
-  chain_span.set_elements(chain.size());
-
-  ++stats.flushes;
-  stats.loops += chain.size();
-  stats.max_chain = std::max<std::uint64_t>(stats.max_chain, chain.size());
-
-  ChainPlanRequest req;
-  req.chain = &chain;
-  const TileSchedule& sched = ctx.plan_for(req);
-  stats.eager_bytes += sched.eager_bytes;
-  stats.tiled_bytes += sched.fused ? sched.fused_bytes : sched.eager_bytes;
-  if (sched.fused) {
-    stats.tiles += static_cast<std::uint64_t>(sched.ntiles);
-    chain_span.set_index(static_cast<std::int64_t>(sched.ntiles));
+ChainSteps::ChainSteps(Context& c, const TileSchedule& s,
+                       const std::vector<LoopRecord>& records, bool by_round)
+    : ctx(c), sched(s), chain(records) {
+  if (!s.fused) {
+    count = records.size();
+    step = &run_record_step;
+  } else if (!by_round) {
+    count = static_cast<std::size_t>(s.ntiles);
+    step = &run_tile_step;
   } else {
-    stats.tiles += chain.size();
-    ++stats.verbatim;
+    rounds = round_tiles(s);
+    count = rounds.size();
+    step = &run_round_step;
   }
-
-  if (sched.fused && ctx.tile_team_enabled() && rounds_eligible(chain)) {
-    run_rounds_from(ctx, sched, chain, 0, stats);
-  } else {
-    run_from(ctx, sched, chain, 0);
-  }
-  account_chain(ctx, chain);
-}
-
-void resume_chain(Context& ctx, ChainResume resume, ChainStats& stats) {
-  apl::trace::Span chain_span(apl::trace::kChain, "chain_resume:op2chain");
-  chain_span.set_elements(resume.chain.size());
-  chain_span.set_index(static_cast<std::int64_t>(resume.next));
-  // `next` indexes rounds or tiles depending on how the chain parked, so
-  // a parked chain always resumes through the executor that parked it
-  // (flush/tile counters were charged when the chain first ran).
-  if (resume.rounds) {
-    run_rounds_from(ctx, resume.sched, resume.chain, resume.next, stats);
-  } else {
-    run_from(ctx, resume.sched, resume.chain, resume.next);
-  }
-  account_chain(ctx, resume.chain);
 }
 
 void flush_pending(Context& ctx) { ctx.flush(); }
@@ -858,54 +768,46 @@ void flush_pending(Context& ctx) { ctx.flush(); }
 
 // --- Context lazy surface --------------------------------------------------
 
-void Context::enqueue(LoopRecord rec) {
-  chain_.push_back(std::move(rec));
-  update_pending();
-}
-
 apl::ThreadPool& Context::tile_team() const {
   return tile_team_ != nullptr ? *tile_team_ : apl::ThreadPool::global();
 }
 
-void Context::store_resume(ChainResume resume) {
-  resume_ = std::make_unique<ChainResume>(std::move(resume));
-  update_pending();
+bool Context::begin_chain(const TileSchedule& sched,
+                          const std::vector<LoopRecord>& chain,
+                          apl::chain::Stats& stats, apl::trace::Span& span) {
+  stats.eager_bytes += sched.eager_bytes;
+  stats.tiled_bytes += sched.fused ? sched.fused_bytes : sched.eager_bytes;
+  if (!sched.fused) {
+    stats.tiles += chain.size();
+    ++stats.verbatim;
+    return false;
+  }
+  stats.tiles += static_cast<std::uint64_t>(sched.ntiles);
+  span.set_index(sched.ntiles);
+  return tile_team_enabled() && rounds_eligible(chain);
 }
 
-void Context::do_flush() {
-  if (chain_executing_) return;
-  if (chain_.empty() && resume_ == nullptr) return;
-  chain_executing_ = true;
-  update_pending();
-  struct Guard {
-    Context* c;
-    ~Guard() {
-      c->chain_executing_ = false;
-      c->update_pending();
-    }
-  } guard{this};
-  if (resume_ != nullptr) {
-    auto r = std::move(resume_);
-    detail::resume_chain(*this, std::move(*r), chain_stats_);
-  }
-  if (!chain_.empty()) {
-    std::vector<LoopRecord> chain = std::move(chain_);
-    chain_.clear();
-    detail::execute_chain(*this, std::move(chain), chain_stats_);
-  }
+detail::ChainSteps Context::chain_steps(const TileSchedule& sched,
+                                        const std::vector<LoopRecord>& chain,
+                                        bool rounds) {
+  return detail::ChainSteps(*this, sched, chain, rounds);
 }
 
-void Context::update_pending() {
-  pending_flush_ =
-      lazy() && !chain_executing_ && (!chain_.empty() || resume_ != nullptr);
+/// Per-loop profile accounting at chain completion; the run lambdas
+/// themselves only accumulate kernel seconds.
+void Context::account_chain(const TileSchedule& /*sched*/,
+                            const std::vector<LoopRecord>& chain) {
+  for (const LoopRecord& rec : chain) {
+    apl::LoopStats& st = profile().stats(rec.name);
+    ++st.calls;
+    detail::account_traffic(*this, rec.name, *rec.set, rec.infos, st);
+  }
 }
 
 const TileSchedule& Context::plan_for(const ChainPlanRequest& req) {
   apl::require(req.chain != nullptr && !req.chain->empty(),
                "op2::Context::plan_for: request names no chain");
   const std::vector<LoopRecord>& chain = *req.chain;
-  const double t0 = apl::now_seconds();
-
   apl::plan_cache::Key ck;
   ck.kind = "op2chain";
   ck.topology = topology_hash();
@@ -913,48 +815,27 @@ const TileSchedule& Context::plan_for(const ChainPlanRequest& req) {
   ck.config = chain_config_hash(*this);
   ck.version = kPlanIrVersion;
   ck.label = req.label;
-
-  apl::signature::Hasher sig;
-  sig.mix(ck.topology);
-  sig.mix(ck.program);
-  sig.mix(ck.config);
-  sig.pod(ck.version);
-  const std::uint64_t key = sig.value();
-  if (const auto it = tile_schedules_.find(key); it != tile_schedules_.end()) {
-    add_plan_seconds(apl::now_seconds() - t0);
-    return *it->second;
-  }
-
-  auto& store = apl::plan_cache::Store::current();
-  std::unique_ptr<TileSchedule> sched =
-      apl::plan_cache::load_or_build<TileSchedule>(
-          store, ck, "chain_hit:", chain.size(),
-          [&](const std::vector<std::uint8_t>& payload, std::string* diag) {
-            return decode_tile_schedule(payload, chain, diag);
-          },
-          [&] {
-            apl::trace::Span span(apl::trace::kPlan,
-                                  "chain_analyze:" + req.label);
-            span.set_elements(chain.size());
-            TileSchedule built = detail::build_tile_schedule(*this, chain);
-            span.set_index(built.fused ? built.ntiles : 0);
-            return built;
-          },
-          encode_tile_schedule);
-  sched->signature = key;
-  add_plan_seconds(apl::now_seconds() - t0);
-
-  // Audit both paths under OPAL_VERIFY=plan: a deserialized schedule is
-  // input from disk, and the race audit is exactly the proof it still
-  // preserves the chain's dependences.
-  if (verifying(apl::verify::kPlan)) {
-    const std::string diag = audit_tile_schedule(*this, chain, *sched);
-    if (!diag.empty()) {
-      verify_report().fail(req.label, apl::verify::kPlan, diag);
-    }
-  }
-  const auto [it, inserted] = tile_schedules_.emplace(key, std::move(sched));
-  return *it->second;
+  return memo_plan(
+      ck, chain.size(),
+      [&](const std::vector<std::uint8_t>& payload, std::string* diag) {
+        return decode_tile_schedule(payload, chain, diag);
+      },
+      [&](apl::trace::Span& span) {
+        TileSchedule built = detail::build_tile_schedule(*this, chain);
+        span.set_index(built.fused ? built.ntiles : 0);
+        return built;
+      },
+      encode_tile_schedule,
+      // Audit both paths under OPAL_VERIFY=plan: a deserialized schedule
+      // is input from disk, and the race audit is exactly the proof it
+      // still preserves the chain's dependences.
+      [&](const TileSchedule& sched) {
+        if (!verifying(apl::verify::kPlan)) return;
+        const std::string diag = audit_tile_schedule(*this, chain, sched);
+        if (!diag.empty()) {
+          verify_report().fail(req.label, apl::verify::kPlan, diag);
+        }
+      });
 }
 
 }  // namespace op2

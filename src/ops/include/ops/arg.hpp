@@ -52,7 +52,6 @@ struct ArgGbl {
 /// reported indices into global coordinates under the distributed layer.
 struct ArgIdx {
   std::array<int, kMaxDim> offset{};
-  mutable std::array<int, kMaxDim> buf{};
 
   ArgInfo info() const {
     return {-1, -1, Access::kRead, 0, 0, false, true};

@@ -2,10 +2,10 @@
 // and run-time configuration.
 //
 // Execution configuration (backend, debug checks, lazy mode, profile, flop
-// hints) comes from the unified execution API base (apl/exec.hpp). The OPS
-// context additionally implements the lazy loop-chain engine (ops/lazy.hpp):
-// with set_lazy(true), par_loop enqueues loop records which execute — with
-// cross-loop cache-blocked tiling — at the next flush point.
+// hints) and the lazy chain engine (queue, flush points, resume, chain
+// stats) come from the apl::chain::Engine base (apl/chain.hpp), shared
+// with op2::Context. This family supplies the cross-loop cache-blocked
+// tiling analysis and its step table (ops/lazy.hpp).
 #pragma once
 
 #include <cstdint>
@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "apl/chain.hpp"
 #include "apl/exec.hpp"
 #include "apl/profile.hpp"
 #include "ops/arg.hpp"
@@ -25,7 +26,7 @@ namespace ops {
 
 class Checkpointer;
 
-class Context : public apl::exec::ExecContext {
+class Context : public apl::chain::Engine<Context, LoopRecord, ChainSchedule> {
 public:
   Context() = default;
 
@@ -47,7 +48,7 @@ public:
     auto dat = std::make_unique<Dat<T>>(static_cast<index_t>(dats_.size()),
                                         block, dim, size, d_m, d_p, name);
     Dat<T>& ref = *dat;
-    ref.attach_context(this, &pending_flush_);
+    ref.attach_context(this, pending_flag());
     dats_.push_back(std::move(dat));
     topology_hash_.reset();
     return ref;
@@ -64,13 +65,7 @@ public:
   index_t num_dats() const { return static_cast<index_t>(dats_.size()); }
   DatBase* find_dat(const std::string& name);
 
-  // ---- lazy loop-chain engine (ops/lazy.hpp)
-  /// Queues a recorded loop (called by par_loop under set_lazy(true)).
-  void enqueue(LoopRecord rec);
-  /// True while the queued chain is being executed (par_loop runs eagerly
-  /// then, so replayed loops are not re-enqueued).
-  bool chain_executing() const { return chain_executing_; }
-  std::size_t chain_length() const { return chain_.size(); }
+  // ---- lazy loop-chain tiling (ops/lazy.hpp)
   /// Cross-loop cache-blocked tiling of flushed chains (default on). With
   /// tiling off a flush replays the queue verbatim — the bit-comparable
   /// validation baseline.
@@ -80,17 +75,9 @@ public:
   /// 0 picks a height whose chain working set fits the cache budget.
   index_t tile_rows() const { return tile_rows_; }
   void set_tile_rows(index_t rows) { tile_rows_ = rows; }
-  /// Per-chain execution statistics (chain lengths, tile counts, modeled
-  /// eager-vs-tiled DRAM traffic).
-  const ChainStats& chain_stats() const { return chain_stats_; }
-
-  /// Returns the compiled execution schedule for a queued chain — the one
-  /// public entry point for chain planning. Consults, in order: the
-  /// in-memory memo (keyed by the combined cache signature, so the
-  /// steady-state flush of an unchanged chain costs one hash), the
-  /// persistent plan cache (when OPAL_PLAN_CACHE names a directory), and
-  /// only then the chain analysis (detail::analyze_chain). The reference
-  /// stays valid for the lifetime of the context.
+  /// The compiled schedule of a queued chain (kind "ops"), through the
+  /// chain engine's memo, then the plan cache, then detail::analyze_chain.
+  /// The reference stays valid for the lifetime of the context.
   const ChainSchedule& plan_for(const PlanRequest& req);
 
   /// Signature of the declared topology (blocks, stencils, dataset
@@ -98,31 +85,33 @@ public:
   /// declaration invalidates it.
   std::uint64_t topology_hash() const;
 
-  void set_lazy(bool on) override {
-    ExecContext::set_lazy(on);
-    update_pending();
-  }
-
   // ---- checkpointing (ops/checkpoint.hpp)
   void attach_checkpointer(Checkpointer* ck) { checkpointer_ = ck; }
   Checkpointer* checkpointer() const { return checkpointer_; }
 
 private:
-  void do_flush() override;
-  void update_pending() {
-    pending_flush_ = lazy() && !chain_executing_ && !chain_.empty();
+  // ---- the chain engine's family hooks (apl/chain.hpp, ops/lazy.cpp)
+  friend class apl::chain::Engine<Context, LoopRecord, ChainSchedule>;
+  static constexpr apl::chain::Names kChainNames{
+      "ops",        "chain_flush", "chain_resume",
+      "ops::flush", "ops::tile",   "ops::round"};
+  const ChainSchedule& plan_chain(const std::vector<LoopRecord>& chain) {
+    return plan_for({"chain", &chain});
   }
+  bool begin_chain(const ChainSchedule& sched,
+                   const std::vector<LoopRecord>& chain,
+                   apl::chain::Stats& stats, apl::trace::Span& span);
+  detail::ChainSteps chain_steps(const ChainSchedule& sched,
+                                 const std::vector<LoopRecord>& chain,
+                                 bool rounds);
+  void account_chain(const ChainSchedule& sched,
+                     const std::vector<LoopRecord>& chain);
 
   std::vector<std::unique_ptr<Block>> blocks_;
   std::vector<std::unique_ptr<Stencil>> stencils_;
   std::vector<std::unique_ptr<DatBase>> dats_;
   std::map<int, index_t> point_stencils_;  ///< ndim -> stencil id
-  std::vector<LoopRecord> chain_;
-  std::map<std::uint64_t, std::unique_ptr<ChainSchedule>> schedules_;
   mutable std::optional<std::uint64_t> topology_hash_;
-  ChainStats chain_stats_;
-  bool chain_executing_ = false;
-  bool pending_flush_ = false;  ///< dats' touch() watches this flag
   bool tiling_ = true;
   index_t tile_rows_ = 0;
   Checkpointer* checkpointer_ = nullptr;

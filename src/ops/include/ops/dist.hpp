@@ -133,20 +133,10 @@ private:
                      &rank_stencil(r, *a.stencil), a.acc};
   }
 
+  /// Per-rank private globals for reductions.
   template <class T>
-  struct DistGbl {
-    ArgGbl<T>* user;
-    std::vector<T> per_rank;
-  };
-
-  template <class T>
-  DistGbl<T> make_state(ArgGbl<T>& g) {
-    DistGbl<T> st{&g, {}};
-    if (g.acc != Access::kRead) {
-      st.per_rank.assign(static_cast<std::size_t>(num_ranks()) * g.dim,
-                         apl::exec::reduction_identity<T>(g.acc));
-    }
-    return st;
+  apl::mpisim::RankPartials<ArgGbl<T>> make_state(ArgGbl<T>& g) {
+    return {g, num_ranks()};
   }
   template <class T>
   ArgDat<T>* make_state(ArgDat<T>&) {
@@ -159,13 +149,9 @@ private:
     return rank_arg(a, r);
   }
   template <class T>
-  ArgGbl<T> rank_param(int r, ArgGbl<T>& /*g*/, DistGbl<T>& st) {
-    if (st.user->acc == Access::kRead) {
-      return ArgGbl<T>{st.user->data, st.user->dim, st.user->acc, {}};
-    }
-    return ArgGbl<T>{st.per_rank.data() +
-                         static_cast<std::size_t>(r) * st.user->dim,
-                     st.user->dim, st.user->acc, {}};
+  ArgGbl<T> rank_param(int r, ArgGbl<T>& /*g*/,
+                       apl::mpisim::RankPartials<ArgGbl<T>>& st) {
+    return st.rank_arg(r);
   }
   ArgIdx rank_param(int /*r*/, ArgIdx&, ArgIdx*) {
     ArgIdx out;
@@ -179,10 +165,8 @@ private:
   void finish_state(ArgDat<T>*) {}
   void finish_state(ArgIdx*) {}
   template <class T>
-  void finish_state(DistGbl<T>& st) {
-    if (st.user->acc == Access::kRead) return;
-    apl::mpisim::allreduce_into(comm_, st.user->acc, st.per_rank,
-                                st.user->dim, st.user->data);
+  void finish_state(apl::mpisim::RankPartials<ArgGbl<T>>& st) {
+    st.finish(comm_);
   }
 };
 

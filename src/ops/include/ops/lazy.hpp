@@ -1,16 +1,9 @@
 // Lazy loop-chain execution with cross-loop cache-blocked tiling.
 //
-// With Context::set_lazy(true), ops::par_loop no longer executes: it
-// enqueues a LoopRecord (name, range, type-erased argument descriptors
-// with their stencils and access modes, and a type-erased executor) into
-// the context's loop chain. The chain executes at a *flush point*:
-//
-//   - an explicit ctx.flush(),
-//   - a loop carrying a global reduction (the caller reads the result
-//     right after par_loop returns, so the chain — including that loop —
-//     runs before control returns),
-//   - raw data access (Dat::at / raw / storage / to_vector), and
-//   - an inter-block halo transfer.
+// With Context::set_lazy(true), ops::par_loop enqueues a LoopRecord (name,
+// range, argument descriptors with their stencils and access modes, and a
+// type-erased executor) into the shared chain engine's queue, which runs
+// at the flush points apl/chain.hpp lists.
 //
 // At a flush the engine runs run-time dependency analysis over the queued
 // chain (following the loop-chaining abstraction of paper Sec. IV and the
@@ -21,6 +14,10 @@
 // cache-resident across *all* queued loops instead of each loop streaming
 // every dataset from DRAM. With tiling disabled the flush replays the
 // queue verbatim (bit-comparable validation baseline).
+//
+// The engine walks a schedule as flattened (op, tile) steps — one per
+// record of a verbatim op, one per tile edge of a tiled segment — with
+// cancel and preemption taking effect between them (apl/chain.hpp).
 //
 // Correctness rests on the OPS structural restriction that kernels write
 // only the centre point. With per-loop skews s[l] (monotone non-increasing
@@ -40,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "apl/chain.hpp"
 #include "ops/arg.hpp"
 #include "ops/core.hpp"
 
@@ -58,25 +56,10 @@ struct LoopRecord {
   std::function<void(const Range&)> run;
 };
 
-/// Accumulated lazy-engine statistics, reported by the tiling bench and
-/// exposed through Context::chain_stats().
-struct ChainStats {
-  std::uint64_t flushes = 0;      ///< chains executed
-  std::uint64_t loops = 0;        ///< loops executed through chains
-  std::uint64_t tiles = 0;        ///< tiles executed (1 per loop if untiled)
-  std::uint64_t max_chain = 0;    ///< longest chain seen
-  /// Modeled DRAM traffic: each loop streaming all its arguments (what
-  /// eager execution does) vs. each dataset entering cache once per tile.
-  std::uint64_t eager_bytes = 0;
-  std::uint64_t tiled_bytes = 0;
-
-  double traffic_saved_fraction() const {
-    return eager_bytes == 0
-               ? 0.0
-               : 1.0 - static_cast<double>(tiled_bytes) /
-                           static_cast<double>(eager_bytes);
-  }
-};
+/// Lazy-engine statistics (apl/chain.hpp), reported by the tiling bench
+/// and exposed through Context::chain_stats(). OPS chains never run color
+/// rounds or verbatim-fallback chains, so `rounds` and `verbatim` stay 0.
+using ChainStats = apl::chain::Stats;
 
 /// Per-loop tile skews for a chain of loops over one block, tiled along
 /// dimension `dim`: result[l] is the offset added to every tile edge for
@@ -131,6 +114,12 @@ struct ChainSchedule {
   std::uint64_t signature = 0;
 };
 
+/// A chain flush interrupted at a tile boundary (apl::cancel deadline /
+/// user cancel / preemption): the records, their schedule and the first
+/// (op, tile) step that did not run. Parked on the context; the next
+/// flush point completes exactly the remaining steps (apl/chain.hpp).
+using ChainResume = apl::chain::Resume<LoopRecord, ChainSchedule>;
+
 /// Request for a chain schedule — the one public spelling for obtaining
 /// one. `label` names the schedule in traces, diagnostics and cache file
 /// names; `chain` is the queued loop chain to plan.
@@ -163,18 +152,20 @@ namespace detail {
 ChainSchedule analyze_chain(const Context& ctx,
                             const std::vector<LoopRecord>& chain);
 
-/// Executes a compiled schedule against the live chain through the
-/// per-OpKind dispatch table, accumulating tile/traffic stats.
-void execute_schedule(const ChainSchedule& sched,
-                      const std::vector<LoopRecord>& chain,
-                      ChainStats& stats);
+/// One walk's step sequence over an OPS schedule (apl/chain.hpp): the
+/// flattened (op, tile) pairs of its ops, each run through the op
+/// dispatch table in lazy.cpp.
+class ChainSteps {
+ public:
+  ChainSteps(const ChainSchedule& sched, const std::vector<LoopRecord>& chain);
+  std::size_t size() const { return first_.back(); }
+  void run(std::size_t step, apl::chain::Stats& stats) const;
 
-/// Executes a flushed chain: obtains the schedule via Context::plan_for
-/// (memoized per signature, then the persistent cache, then
-/// analyze_chain), executes it, and accumulates per-loop profile stats
-/// plus chain stats.
-void execute_chain(Context& ctx, std::vector<LoopRecord> chain,
-                   ChainStats& stats);
+ private:
+  const ChainSchedule& sched_;
+  const std::vector<LoopRecord>& chain_;
+  std::vector<std::size_t> first_;  ///< first step of each op, then the total
+};
 
 }  // namespace detail
 

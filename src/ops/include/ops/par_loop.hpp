@@ -9,6 +9,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -62,45 +63,6 @@ T* point_param(ArgGbl<T>& g, const Cursor& c) {
              : g.scratch.data() + c.tid * static_cast<std::size_t>(g.dim);
 }
 
-inline const int* point_param(ArgIdx& a, const Cursor& c) {
-  for (int d = 0; d < kMaxDim; ++d) a.buf[d] = c.idx[d] + a.offset[d];
-  return a.buf.data();
-}
-
-// ---- reduction scratch (same scheme as op2) --------------------------------
-
-template <class T>
-void prepare_gbl(ArgGbl<T>& g, std::size_t slots) {
-  if (g.acc == Access::kRead || slots == 0) {
-    g.scratch.clear();
-    return;
-  }
-  g.scratch.assign(slots * static_cast<std::size_t>(g.dim),
-                   apl::exec::reduction_identity<T>(g.acc));
-}
-template <class T>
-void prepare_gbl(ArgDat<T>&, std::size_t) {}
-inline void prepare_gbl(ArgIdx&, std::size_t) {}
-
-template <class T>
-void finish_gbl(ArgGbl<T>& g, std::size_t slots) {
-  if (g.scratch.empty()) return;
-  for (std::size_t s = 0; s < slots; ++s) {
-    for (index_t d = 0; d < g.dim; ++d) {
-      const T v = g.scratch[s * g.dim + d];
-      switch (g.acc) {
-        case Access::kInc: g.data[d] += v; break;
-        case Access::kMin: g.data[d] = std::min(g.data[d], v); break;
-        case Access::kMax: g.data[d] = std::max(g.data[d], v); break;
-        default: break;
-      }
-    }
-  }
-  g.scratch.clear();
-}
-template <class T>
-void finish_gbl(ArgDat<T>&, std::size_t) {}
-inline void finish_gbl(ArgIdx&, std::size_t) {}
 
 // ---- debug / guarded stencil-check arming -----------------------------------
 
@@ -151,7 +113,14 @@ template <class T>
 std::nullptr_t make_row_state(ArgGbl<T>&) {
   return nullptr;
 }
-inline std::nullptr_t make_row_state(ArgIdx&) { return nullptr; }
+
+// The indices an arg_idx kernel parameter points at. Held in the calling
+// worker's row state, never in the (shared) argument: threads-backend
+// workers run one ArgIdx concurrently.
+struct IdxState {
+  std::array<int, kMaxDim> buf{};
+};
+inline IdxState make_row_state(ArgIdx&) { return {}; }
 
 template <class T>
 void row_begin(RowState<T>& rs, ArgDat<T>& a, index_t i, index_t j,
@@ -160,7 +129,7 @@ void row_begin(RowState<T>& rs, ArgDat<T>& a, index_t i, index_t j,
 }
 template <class T>
 void row_begin(std::nullptr_t, ArgGbl<T>&, index_t, index_t, index_t) {}
-inline void row_begin(std::nullptr_t, ArgIdx&, index_t, index_t, index_t) {}
+inline void row_begin(IdxState&, ArgIdx&, index_t, index_t, index_t) {}
 
 template <class T>
 Acc<T> row_param(RowState<T>& rs, ArgDat<T>&, const Cursor&) {
@@ -170,8 +139,9 @@ template <class T>
 T* row_param(std::nullptr_t, ArgGbl<T>& g, const Cursor& c) {
   return point_param(g, c);
 }
-inline const int* row_param(std::nullptr_t, ArgIdx& a, const Cursor& c) {
-  return point_param(a, c);
+inline const int* row_param(IdxState& st, ArgIdx& a, const Cursor& c) {
+  for (int d = 0; d < kMaxDim; ++d) st.buf[d] = c.idx[d] + a.offset[d];
+  return st.buf.data();
 }
 
 template <class T>
@@ -179,6 +149,18 @@ void row_advance(RowState<T>& rs) {
   rs.p += rs.sx;
 }
 inline void row_advance(std::nullptr_t) {}
+inline void row_advance(IdxState&) {}
+
+/// Checked-path parameter: a per-point accessor carrying the stencil
+/// check, or the indices written into this call's own row state.
+template <class S, class A>
+decltype(auto) checked_param(S& st, A& a, const Cursor& c) {
+  if constexpr (std::is_same_v<A, ArgIdx>) {
+    return row_param(st, a, c);
+  } else {
+    return point_param(a, c);
+  }
+}
 
 /// Runs the kernel over a sub-range on one "thread" slot (fast path: the
 /// accessor carries a compile-time-null check pointer). `flatten` forces
@@ -226,13 +208,15 @@ void run_span_checked(const Range& r, index_t out_lo, index_t out_hi,
   Range local = r;
   local.lo[out_dim] = out_lo;
   local.hi[out_dim] = out_hi;
+  auto states = std::make_tuple(make_row_state(args)...);
   for (int kk = local.lo[2]; kk < local.hi[2]; ++kk) {
     for (int jj = local.lo[1]; jj < local.hi[1]; ++jj) {
       for (int ii = local.lo[0]; ii < local.hi[0]; ++ii) {
         c.idx[0] = ii;
         c.idx[1] = jj;
         c.idx[2] = kk;
-        k(point_param(args, c)...);
+        std::apply(
+            [&](auto&... st) { k(checked_param(st, args, c)...); }, states);
       }
     }
   }
@@ -258,7 +242,7 @@ void execute_loop(Context& ctx, const Range& range, int out_dim,
       break;
     case Backend::kThreads: {
       apl::ThreadPool& pool = apl::ThreadPool::global();
-      (prepare_gbl(args, pool.size()), ...);
+      (apl::exec::prepare_gbl(args, pool.size()), ...);
       index_t extent = range.hi[out_dim] - range.lo[out_dim];
 #ifdef APL_MUTATE_OPS_RANGE_TAIL
       // Mutation hook for the testkit smoke tests: drop the last row of the
@@ -272,51 +256,11 @@ void execute_loop(Context& ctx, const Range& range, int out_dim,
             span(range.lo[out_dim] + static_cast<index_t>(b),
                  range.lo[out_dim] + static_cast<index_t>(e), tid);
           });
-      (finish_gbl(args, pool.size()), ...);
+      (apl::exec::finish_gbl(args, pool.size()), ...);
       break;
     }
   }
 }
-
-// ---- freeze / thaw for delayed execution ------------------------------------
-
-// Queued loops execute after the enqueuing call returns, so any pointer
-// into the caller's stack must be snapshotted at enqueue time. Only
-// read-only globals need it: dats are context-owned, and reduction
-// globals flush before par_loop returns. The snapshot vector's heap
-// buffer moves whenever the closure is copied into std::function
-// storage, so thaw() re-points g.data at every call, not once.
-
-template <class T>
-struct GblSnapshot {
-  ArgGbl<T> g;
-  std::vector<T> snap;  ///< frozen kRead values (empty for reductions)
-};
-
-template <class T>
-ArgDat<T> freeze(const ArgDat<T>& a) {
-  return a;
-}
-template <class T>
-GblSnapshot<T> freeze(const ArgGbl<T>& g) {
-  GblSnapshot<T> s{g, {}};
-  if (g.acc == Access::kRead && g.data != nullptr) {
-    s.snap.assign(g.data, g.data + g.dim);
-  }
-  return s;
-}
-inline ArgIdx freeze(const ArgIdx& a) { return a; }
-
-template <class T>
-ArgDat<T>& thaw(ArgDat<T>& a) {
-  return a;
-}
-template <class T>
-ArgGbl<T>& thaw(GblSnapshot<T>& s) {
-  if (!s.snap.empty()) s.g.data = s.snap.data();
-  return s.g;
-}
-inline ArgIdx& thaw(ArgIdx& a) { return a; }
 
 // The checkpoint classifier treats a kWrite dat as "reconstructed by
 // re-running the chain from the entry loop". Whether a given iteration
@@ -395,7 +339,7 @@ void par_loop(Context& ctx, const std::string& name, const Block& block,
     rec.range = range;
     rec.infos = infos;
     rec.run = [&ctx, name, nd = block.ndim(), kernel = kernel,
-               frozen = std::make_tuple(detail::freeze(args)...)](
+               frozen = std::make_tuple(apl::chain::freeze(args)...)](
                   const Range& sub) mutable {
       std::apply(
           [&](auto&... fr) {
@@ -425,18 +369,13 @@ void par_loop(Context& ctx, const std::string& name, const Block& block,
               // may clear the profile mid-loop (lifetime rule, profile.hpp).
               ctx.profile().stats(name).seconds += apl::now_seconds() - t0;
             };
-            invoke(detail::thaw(fr)...);
+            invoke(apl::chain::thaw(fr)...);
           },
           frozen);
     };
-    const bool reduction =
-        std::any_of(infos.begin(), infos.end(), [](const ArgInfo& i) {
-          return i.is_gbl && i.acc != Access::kRead;
-        });
+    // A reduction record flushes the chain, itself included, right here,
+    // so logged global outputs are final; kRead globals log nothing.
     ctx.enqueue(std::move(rec));
-    if (reduction) ctx.flush();
-    // Reductions flushed above, so logged global outputs are final; pure
-    // kRead globals contribute nothing to the log.
     if (Checkpointer* ck = ctx.checkpointer()) {
       std::vector<std::uint8_t> gbl_log;
       (apl::ckpt::log_gbl(args, gbl_log), ...);

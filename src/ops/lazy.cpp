@@ -8,7 +8,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "apl/cancel.hpp"
 #include "apl/error.hpp"
 #include "apl/io/plan_cache.hpp"
 #include "apl/signature.hpp"
@@ -25,18 +24,10 @@ namespace {
 constexpr std::size_t kTileCacheBudget = std::size_t{4} << 20;
 constexpr index_t kMinTileRows = 4;
 
-/// Modeled DRAM traffic of one loop executed eagerly: every argument
-/// streams through (the account() model: one pass per read, one per
-/// write).
+/// Modeled DRAM traffic of one loop executed eagerly (index arguments
+/// carry no payload, so they stream nothing).
 std::uint64_t streaming_bytes(const LoopRecord& rec) {
-  const std::uint64_t n = rec.range.points();
-  std::uint64_t bytes = 0;
-  for (const ArgInfo& a : rec.infos) {
-    if (a.is_gbl || a.is_idx) continue;
-    const int passes = (reads(a.acc) ? 1 : 0) + (writes(a.acc) ? 1 : 0);
-    bytes += n * a.dim * a.elem_bytes * passes;
-  }
-  return bytes;
+  return apl::chain::streaming_bytes(rec.infos, rec.range.points());
 }
 
 /// Per-dataset footprint accumulated over one tile: every stencil-extended
@@ -325,53 +316,59 @@ void analyze_group(const Context& ctx,
 
 // --- execution: schedule ops through a dispatch table ----------------------
 
-void exec_verbatim(const ChainSchedule& sched, const ChainSchedule::Op& op,
-                   const std::vector<LoopRecord>& chain, ChainStats& stats) {
+// Each op is a run of steps the chain engine walks one at a time, with a
+// cancel check between any two: a verbatim op steps through its records,
+// a tiled segment through its tile edges.
+
+std::size_t verbatim_steps(const ChainSchedule::Op& op) {
+  return static_cast<std::size_t>(op.count);
+}
+
+void run_verbatim_step(const ChainSchedule& sched, const ChainSchedule::Op& op,
+                       const std::vector<LoopRecord>& chain, std::size_t k) {
+  const LoopRecord& rec =
+      chain[sched.groups[op.group][op.first + static_cast<std::int32_t>(k)]];
+  run_record(rec, rec.range);
+}
+
+std::size_t tiled_steps(const ChainSchedule::Op& op) {
+  if (op.hi <= op.lo) return 0;
+  return static_cast<std::size_t>(
+      (static_cast<std::int64_t>(op.hi) - op.lo + op.h - 1) / op.h);
+}
+
+void run_tiled_step(const ChainSchedule& sched, const ChainSchedule::Op& op,
+                    const std::vector<LoopRecord>& chain, std::size_t k) {
   const std::vector<std::int32_t>& g = sched.groups[op.group];
+  const index_t b0 = op.lo + static_cast<index_t>(k) * op.h;
+  const index_t b1 = std::min(op.hi, b0 + op.h);
   for (std::int32_t l = 0; l < op.count; ++l) {
     const LoopRecord& rec = chain[g[op.first + l]];
-    run_record(rec, rec.range);
+    Range sub = rec.range;
+    sub.lo[op.dim] = std::max(sub.lo[op.dim], b0 + op.skews[l]);
+    sub.hi[op.dim] = std::min(sub.hi[op.dim], b1 + op.skews[l]);
+    if (sub.lo[op.dim] >= sub.hi[op.dim]) continue;
+    run_record(rec, sub);
   }
-  stats.tiles += op.tiles;
-  stats.tiled_bytes += op.tiled_bytes;
 }
 
-void exec_tiled_segment(const ChainSchedule& sched,
-                        const ChainSchedule::Op& op,
-                        const std::vector<LoopRecord>& chain,
-                        ChainStats& stats) {
-  const std::vector<std::int32_t>& g = sched.groups[op.group];
-  for (index_t b0 = op.lo; b0 < op.hi; b0 += op.h) {
-    const index_t b1 = std::min(op.hi, b0 + op.h);
-    for (std::int32_t l = 0; l < op.count; ++l) {
-      const LoopRecord& rec = chain[g[op.first + l]];
-      Range sub = rec.range;
-      sub.lo[op.dim] = std::max(sub.lo[op.dim], b0 + op.skews[l]);
-      sub.hi[op.dim] = std::min(sub.hi[op.dim], b1 + op.skews[l]);
-      if (sub.lo[op.dim] >= sub.hi[op.dim]) continue;
-      run_record(rec, sub);
-    }
-  }
-  stats.tiles += op.tiles;
-  stats.tiled_bytes += op.tiled_bytes;
-}
-
-using OpExecutor = void (*)(const ChainSchedule&, const ChainSchedule::Op&,
-                            const std::vector<LoopRecord>&, ChainStats&);
-
-/// The schedule ISA: one executor per op kind. Executing a schedule is a
-/// walk over this table — no analysis code is reachable from it, which is
-/// what lets a deserialized schedule run as-is.
+/// The schedule ISA: per op kind, its step count and the executor of one
+/// step. Executing a schedule is a walk over this table — no analysis
+/// code is reachable from it, which is what lets a deserialized schedule
+/// run as-is.
 struct OpDispatchEntry {
   ChainSchedule::OpKind kind;
   const char* name;
-  OpExecutor run;
+  std::size_t (*steps)(const ChainSchedule::Op&);
+  void (*run)(const ChainSchedule&, const ChainSchedule::Op&,
+              const std::vector<LoopRecord>&, std::size_t);
 };
 
 constexpr OpDispatchEntry kOpDispatch[] = {
-    {ChainSchedule::OpKind::kVerbatim, "verbatim", &exec_verbatim},
-    {ChainSchedule::OpKind::kTiledSegment, "tiled_segment",
-     &exec_tiled_segment},
+    {ChainSchedule::OpKind::kVerbatim, "verbatim", &verbatim_steps,
+     &run_verbatim_step},
+    {ChainSchedule::OpKind::kTiledSegment, "tiled_segment", &tiled_steps,
+     &run_tiled_step},
 };
 
 const OpDispatchEntry* dispatch_for(ChainSchedule::OpKind kind) {
@@ -696,50 +693,20 @@ std::uint64_t Context::topology_hash() const {
 const ChainSchedule& Context::plan_for(const PlanRequest& req) {
   apl::require(req.chain != nullptr, "plan_for: request names no chain");
   const std::vector<LoopRecord>& chain = *req.chain;
-  const double t0 = apl::now_seconds();
-  const std::uint64_t topo = topology_hash();
-  const std::uint64_t prog = chain_program_hash(chain);
-  const std::uint64_t conf = chain_config_hash(*this);
-  apl::signature::Hasher sig;
-  sig.mix(topo);
-  sig.mix(prog);
-  sig.mix(conf);
-  sig.pod(kChainIrVersion);
-  const std::uint64_t key = sig.value();
-  if (const auto it = schedules_.find(key); it != schedules_.end()) {
-    // Memo hit — the steady state: every flush of an unchanged chain
-    // (one per timestep) reuses the schedule at the cost of the hashes.
-    add_plan_seconds(apl::now_seconds() - t0);
-    return *it->second;
-  }
-
-  auto& store = apl::plan_cache::Store::current();
   apl::plan_cache::Key ck;
   ck.kind = "ops";
-  ck.topology = topo;
-  ck.program = prog;
-  ck.config = conf;
+  ck.topology = topology_hash();
+  ck.program = chain_program_hash(chain);
+  ck.config = chain_config_hash(*this);
   ck.version = kChainIrVersion;
   ck.label = req.label;
-  std::unique_ptr<ChainSchedule> sched =
-      apl::plan_cache::load_or_build<ChainSchedule>(
-          store, ck, "chain_hit:", chain.size(),
-          [&](const std::vector<std::uint8_t>& payload, std::string* diag) {
-            return decode_schedule(payload, *this, chain, diag);
-          },
-          [&] {
-            // Chain analysis is a cache miss: span it so a warm run's "no
-            // analysis at all" claim is checkable from the trace.
-            apl::trace::Span span(apl::trace::kPlan,
-                                  "chain_analyze:" + req.label);
-            span.set_elements(chain.size());
-            return detail::analyze_chain(*this, chain);
-          },
-          encode_schedule);
-  sched->signature = key;
-  add_plan_seconds(apl::now_seconds() - t0);
-  const auto [it, inserted] = schedules_.emplace(key, std::move(sched));
-  return *it->second;
+  return memo_plan(
+      ck, chain.size(),
+      [&](const std::vector<std::uint8_t>& payload, std::string* diag) {
+        return decode_schedule(payload, *this, chain, diag);
+      },
+      [&](apl::trace::Span&) { return detail::analyze_chain(*this, chain); },
+      encode_schedule, [](const ChainSchedule&) {});
 }
 
 namespace detail {
@@ -772,77 +739,69 @@ ChainSchedule analyze_chain(const Context& ctx,
   return sched;
 }
 
-void execute_schedule(const ChainSchedule& sched,
-                      const std::vector<LoopRecord>& chain,
-                      ChainStats& stats) {
+ChainSteps::ChainSteps(const ChainSchedule& sched,
+                       const std::vector<LoopRecord>& chain)
+    : sched_(sched), chain_(chain) {
+  first_.reserve(sched.ops.size() + 1);
+  std::size_t total = 0;
   for (const ChainSchedule::Op& op : sched.ops) {
     const OpDispatchEntry* entry = dispatch_for(op.kind);
     apl::require(entry != nullptr, "chain schedule: unknown op kind ",
                  static_cast<std::uint32_t>(op.kind));
-    entry->run(sched, op, chain, stats);
+    first_.push_back(total);
+    total += entry->steps(op);
   }
+  first_.push_back(total);
+}
+
+void ChainSteps::run(std::size_t step, apl::chain::Stats& /*stats*/) const {
+  // The op holding `step`: the last one starting at or before it (ops
+  // with no steps share their successor's start and are skipped).
+  const auto op = static_cast<std::size_t>(
+      std::upper_bound(first_.begin(), first_.end(), step) - first_.begin() -
+      1);
+  const ChainSchedule::Op& o = sched_.ops[op];
+  dispatch_for(o.kind)->run(sched_, o, chain_, step - first_[op]);
 }
 
 void flush_pending(Context& ctx) { ctx.flush(); }
 
-void execute_chain(Context& ctx, std::vector<LoopRecord> chain,
-                   ChainStats& stats) {
-  // One span per flush; the per-slice kTile spans the record executors
-  // open (ops/par_loop.hpp) nest inside it.
-  apl::trace::Span chain_span(apl::trace::kChain, "chain_flush");
-  chain_span.set_elements(chain.size());
-  const std::uint64_t tiles_before = stats.tiles;
-  ++stats.flushes;
-  stats.loops += chain.size();
-  stats.max_chain = std::max<std::uint64_t>(stats.max_chain, chain.size());
-  for (const LoopRecord& rec : chain) {
-    stats.eager_bytes += streaming_bytes(rec);
+}  // namespace detail
+
+bool Context::begin_chain(const ChainSchedule& sched,
+                          const std::vector<LoopRecord>& chain,
+                          apl::chain::Stats& stats, apl::trace::Span& span) {
+  for (const LoopRecord& rec : chain) stats.eager_bytes += streaming_bytes(rec);
+  std::uint64_t tiles = 0;
+  for (const ChainSchedule::Op& op : sched.ops) {
+    tiles += op.tiles;
+    stats.tiled_bytes += op.tiled_bytes;
   }
+  stats.tiles += tiles;
+  span.set_index(static_cast<std::int64_t>(tiles));
+  return false;
+}
 
-  const ChainSchedule& sched = ctx.plan_for({"chain", &chain});
-  execute_schedule(sched, chain, stats);
+detail::ChainSteps Context::chain_steps(const ChainSchedule& sched,
+                                        const std::vector<LoopRecord>& chain,
+                                        bool /*rounds*/) {
+  return detail::ChainSteps(sched, chain);
+}
 
-  // Per-loop profile accounting over the full recorded ranges — the same
-  // useful-byte totals and call counts eager execution records, so the
-  // perf-model benches see identical inputs either way (the record
-  // executor accumulates only wall time, one slice per tile).
+/// Per-loop profile accounting over the full recorded ranges — the same
+/// useful-byte totals and call counts eager execution records, so the
+/// perf-model benches see identical inputs either way (the record
+/// executor accumulates only wall time, one slice per tile).
+void Context::account_chain(const ChainSchedule& sched,
+                            const std::vector<LoopRecord>& chain) {
   for (const auto& group : sched.groups) {
     for (const std::int32_t idx : group) {
       const LoopRecord& rec = chain[idx];
-      apl::LoopStats& st = ctx.profile().stats(rec.name);
+      apl::LoopStats& st = profile().stats(rec.name);
       ++st.calls;
-      account(ctx, rec.name, rec.range, rec.infos, st);
+      detail::account(*this, rec.name, rec.range, rec.infos, st);
     }
   }
-  chain_span.set_index(static_cast<std::int64_t>(stats.tiles - tiles_before));
-}
-
-}  // namespace detail
-
-void Context::enqueue(LoopRecord rec) {
-  chain_.push_back(std::move(rec));
-  update_pending();
-}
-
-void Context::do_flush() {
-  if (chain_.empty() || chain_executing_) return;
-  // A chain flush is a checkpointable boundary: cancellation (and the
-  // preemption flag a scheduler polls) take effect here, while the queue
-  // is still intact — a cancelled flush drops no loop, and the next flush
-  // runs the whole chain.
-  apl::cancel::point("chain_flush");
-  std::vector<LoopRecord> chain = std::move(chain_);
-  chain_.clear();
-  chain_executing_ = true;
-  update_pending();
-  struct Guard {
-    Context* c;
-    ~Guard() {
-      c->chain_executing_ = false;
-      c->update_pending();
-    }
-  } guard{this};
-  detail::execute_chain(*this, std::move(chain), chain_stats_);
 }
 
 }  // namespace ops

@@ -20,11 +20,14 @@
 // `op2::Backend`) that existed for one deprecation release are gone.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <limits>
 #include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "apl/profile.hpp"
 #include "apl/verify.hpp"
@@ -68,6 +71,42 @@ T reduction_identity(Access acc) {
     case Access::kMin: return std::numeric_limits<T>::max();
     case Access::kMax: return std::numeric_limits<T>::lowest();
     default: return T{};
+  }
+}
+
+/// Per-worker partials of a global reduction on a threads backend (op2
+/// and ops): prepare_gbl gives a reduction argument `slots` identity-
+/// initialised copies of its `dim` values in `scratch`; finish_gbl folds
+/// them into the caller's data in ascending slot order. Dataset, index
+/// and read-only arguments carry no partials.
+template <class Arg>
+void prepare_gbl(Arg& g, std::size_t slots) {
+  if constexpr (requires { g.scratch; }) {
+    if (g.acc == Access::kRead || slots == 0) {
+      g.scratch.clear();
+      return;
+    }
+    using T = std::remove_pointer_t<decltype(g.data)>;
+    g.scratch.assign(slots * static_cast<std::size_t>(g.dim),
+                     reduction_identity<T>(g.acc));
+  }
+}
+template <class Arg>
+void finish_gbl(Arg& g, std::size_t slots) {
+  if constexpr (requires { g.scratch; }) {
+    if (g.scratch.empty()) return;
+    for (std::size_t s = 0; s < slots; ++s) {
+      for (std::size_t d = 0; d < static_cast<std::size_t>(g.dim); ++d) {
+        const auto v = g.scratch[s * static_cast<std::size_t>(g.dim) + d];
+        switch (g.acc) {
+          case Access::kInc: g.data[d] += v; break;
+          case Access::kMin: g.data[d] = std::min(g.data[d], v); break;
+          case Access::kMax: g.data[d] = std::max(g.data[d], v); break;
+          default: break;
+        }
+      }
+    }
+    g.scratch.clear();
   }
 }
 

@@ -1,10 +1,12 @@
 #include "apl/serve/jobs.hpp"
 
 #include <cstdio>
+#include <functional>
 #include <vector>
 
 #include "airfoil/airfoil.hpp"
 #include "apl/fault.hpp"
+#include "apl/mpisim/ladder.hpp"
 #include "apl/perf/model.hpp"
 #include "apl/resilience.hpp"
 #include "apl/signature.hpp"
@@ -18,25 +20,65 @@ namespace {
 
 constexpr const char* kProjectionMachine = "xe6-node";
 
-/// Writes one plain-context checkpoint: every dat plus the step counter.
-void save_op2_step(op2::Context& ctx, apl::io::CheckpointStore& store,
-                   std::int64_t step) {
-  apl::io::File f;
-  op2::dump_dats(ctx, f);
-  const std::vector<std::int64_t> stepv{step};
-  f.put<std::int64_t>("meta/step", stepv, {1});
-  store.save(f);
+/// Runs a single-context op2 job to `iters` with plain checkpoints (every
+/// dat plus the step counter): resumes from the newest one on disk,
+/// writes one every `ckpt_every` iterations and yields there on request.
+void run_op2_checkpointed(JobContext& jc, op2::Context& ctx,
+                          std::int64_t iters, int ckpt_every,
+                          const std::function<void()>& iterate) {
+  std::int64_t it = 0;
+  if (jc.store().any_valid()) {
+    const apl::io::File f = jc.store().load();
+    op2::load_dats(ctx, f);
+    const auto step = f.get<std::int64_t>("meta/step");
+    it = step.empty() ? 0 : step[0];
+    jc.note_resumed(it);
+  }
+  for (; it < iters; ++it) {
+    if (ckpt_every > 0 && it % ckpt_every == 0) {
+      apl::io::File f;
+      op2::dump_dats(ctx, f);
+      const std::vector<std::int64_t> stepv{it};
+      f.put<std::int64_t>("meta/step", stepv, {1});
+      jc.store().save(f);
+      jc.note_checkpoint(it);
+      jc.yield_if_requested(it);
+    }
+    iterate();
+  }
 }
 
-/// Loads the newest checkpoint into a freshly declared context; returns
-/// the step to resume from (-1: nothing on disk, start cold).
-std::int64_t load_op2_step(op2::Context& ctx,
-                           const apl::io::CheckpointStore& store) {
-  if (!store.any_valid()) return -1;
-  const apl::io::File f = store.load();
-  op2::load_dats(ctx, f);
-  const auto step = f.get<std::int64_t>("meta/step");
-  return step.empty() ? 0 : step[0];
+/// Runs a distributed job to `steps` under the recovery ladder: resumes
+/// from the newest collective checkpoint, writes one every `ckpt_every`
+/// steps (yielding there on request), and absorbs rank failures through
+/// recover_outcome — only an exhausted ladder escapes, as a named error.
+/// `advance(s)` runs one step from `s` and returns the step reached;
+/// `seek(s)` repositions the app after a resume or recovery.
+void run_distributed(JobContext& jc, apl::mpisim::Ladder& ladder,
+                     std::int64_t steps, int ckpt_every,
+                     const std::function<std::int64_t(std::int64_t)>& advance,
+                     const std::function<void(std::int64_t)>& seek) {
+  std::int64_t s = 0;
+  if (jc.store().any_valid()) {
+    s = ladder.recover(jc.store());
+    seek(s);
+    jc.note_resumed(s);
+  }
+  while (s < steps) {
+    if (ckpt_every > 0 && s % ckpt_every == 0) {
+      ladder.checkpoint(jc.store(), s);
+      jc.note_checkpoint(s);
+      jc.yield_if_requested(s);
+    }
+    try {
+      s = advance(s);
+    } catch (const apl::fault::RankFailure&) {
+      const apl::resilience::Outcome out = ladder.recover_outcome(jc.store());
+      if (!out.ok) throw apl::resilience::LadderExhausted(out.summary());
+      s = out.resume_step;
+      seek(s);
+    }
+  }
 }
 
 /// Counted per-iteration workload of an Airfoil-family mesh, coarse by
@@ -86,45 +128,16 @@ JobSpec make_airfoil_job(const std::string& name, const AirfoilJob& cfg) {
       app.enable_distributed(cfg.nranks, apl::graph::PartitionMethod::kRcb);
       op2::Distributed& dist = *app.distributed();
       if (cfg.lazy) dist.set_lazy(true);
-      std::int64_t it = 0;
-      if (jc.store().any_valid()) {
-        it = dist.recover(jc.store());
-        jc.note_resumed(it);
-      }
-      while (it < cfg.iters) {
-        if (cfg.ckpt_every > 0 && it % cfg.ckpt_every == 0) {
-          dist.checkpoint(jc.store(), it);
-          jc.note_checkpoint(it);
-          jc.yield_if_requested(it);
-        }
-        try {
-          app.iteration();
-          ++it;
-        } catch (const apl::fault::RankFailure&) {
-          // In-job recovery through the structured path: the outcome is
-          // data; only an exhausted ladder escapes, as a named error.
-          const apl::resilience::Outcome out = dist.recover_outcome(jc.store());
-          if (!out.ok) {
-            throw apl::resilience::LadderExhausted(out.summary());
-          }
-          it = out.resume_step;
-        }
-      }
+      run_distributed(
+          jc, dist, cfg.iters, cfg.ckpt_every,
+          [&](std::int64_t it) {
+            app.iteration();
+            return it + 1;
+          },
+          [](std::int64_t) {});
     } else {
-      const std::int64_t resume = load_op2_step(app.ctx(), jc.store());
-      std::int64_t it = 0;
-      if (resume >= 0) {
-        it = resume;
-        jc.note_resumed(resume);
-      }
-      for (; it < cfg.iters; ++it) {
-        if (cfg.ckpt_every > 0 && it % cfg.ckpt_every == 0) {
-          save_op2_step(app.ctx(), jc.store(), it);
-          jc.note_checkpoint(it);
-          jc.yield_if_requested(it);
-        }
-        app.iteration();
-      }
+      run_op2_checkpointed(jc, app.ctx(), cfg.iters, cfg.ckpt_every,
+                           [&] { app.iteration(); });
     }
     const std::vector<double> q = app.solution();
     return digest(q);
@@ -148,31 +161,13 @@ JobSpec make_clover_job(const std::string& name, const CloverJob& cfg) {
     opts.lazy = cfg.lazy;
     cloverleaf::CloverOps app(opts);
     app.enable_distributed(cfg.nranks < 2 ? 2 : cfg.nranks);
-    ops::Distributed& dist = *app.distributed();
-    std::int64_t s = 0;
-    if (jc.store().any_valid()) {
-      s = dist.recover(jc.store());
-      app.set_steps_taken(static_cast<int>(s));
-      jc.note_resumed(s);
-    }
-    while (s < cfg.steps) {
-      if (cfg.ckpt_every > 0 && s % cfg.ckpt_every == 0) {
-        dist.checkpoint(jc.store(), s);
-        jc.note_checkpoint(s);
-        jc.yield_if_requested(s);
-      }
-      try {
-        app.step();
-        s = app.steps_taken();
-      } catch (const apl::fault::RankFailure&) {
-        const apl::resilience::Outcome out = dist.recover_outcome(jc.store());
-        if (!out.ok) {
-          throw apl::resilience::LadderExhausted(out.summary());
-        }
-        s = out.resume_step;
-        app.set_steps_taken(static_cast<int>(s));
-      }
-    }
+    run_distributed(
+        jc, *app.distributed(), cfg.steps, cfg.ckpt_every,
+        [&](std::int64_t) {
+          app.step();
+          return static_cast<std::int64_t>(app.steps_taken());
+        },
+        [&](std::int64_t s) { app.set_steps_taken(static_cast<int>(s)); });
     const std::vector<double> rho = app.density();
     return digest(rho);
   };
@@ -193,20 +188,8 @@ JobSpec make_minihydra_job(const std::string& name, const MiniHydraJob& cfg) {
     opts.nx = cfg.nx;
     opts.ny = cfg.ny;
     minihydra::MiniHydra app(opts);
-    const std::int64_t resume = load_op2_step(app.ctx(), jc.store());
-    std::int64_t it = 0;
-    if (resume >= 0) {
-      it = resume;
-      jc.note_resumed(resume);
-    }
-    for (; it < cfg.iters; ++it) {
-      if (cfg.ckpt_every > 0 && it % cfg.ckpt_every == 0) {
-        save_op2_step(app.ctx(), jc.store(), it);
-        jc.note_checkpoint(it);
-        jc.yield_if_requested(it);
-      }
-      app.iteration();
-    }
+    run_op2_checkpointed(jc, app.ctx(), cfg.iters, cfg.ckpt_every,
+                         [&] { app.iteration(); });
     const std::vector<double> q = app.solution();
     return digest(q);
   };

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "apl/testkit/fixtures.hpp"
+#include "apl/thread_pool.hpp"
 #include "ops/ops.hpp"
 
 namespace {
@@ -86,6 +87,34 @@ TEST(OpsParLoop, ArgIdxReportsGlobalIndices) {
                 ops::arg_gbl(&checksum, 1, Access::kInc));
   EXPECT_EQ(seen, (std::vector<int>{1, 2, 2, 2}));
   EXPECT_DOUBLE_EQ(checksum, 12 + 22);
+}
+
+// arg_idx under the threads backend: every worker must see its own grid
+// indices. The checked path (debug checks) hands the kernel a pointer per
+// point; a kernel that reads idx[0], works a while, then reads idx[1]
+// exposes any index buffer the workers share.
+TEST(OpsParLoop, ArgIdxIsPerWorkerOnThreadsBackend) {
+  if (apl::ThreadPool::global().size() < 2) {
+    GTEST_SKIP() << "needs a thread pool of at least two workers";
+  }
+  apl::testkit::HeatGrid g(64, 512);
+  g.ctx.set_backend(ops::Backend::kThreads);
+  g.ctx.set_debug_checks(true);
+  ops::par_loop(g.ctx, "init", *g.grid, g.interior(),
+                [](ops::Acc<double> u, const int* idx) {
+                  const int i = idx[0];
+                  volatile int spin = 0;
+                  for (int s = 0; s < 200; ++s) spin = spin + 1;
+                  u(0, 0) = 1000.0 * i + idx[1];
+                },
+                ops::arg(*g.u, Access::kWrite), ops::arg_idx());
+  int wrong = 0;
+  for (index_t j = 0; j < g.ny; ++j) {
+    for (index_t i = 0; i < g.nx; ++i) {
+      if (*g.u->at(i, j) != 1000.0 * i + j) ++wrong;
+    }
+  }
+  EXPECT_EQ(wrong, 0) << "points saw another worker's indices";
 }
 
 TEST(OpsParLoop, Reductions) {

@@ -55,6 +55,7 @@
 #include <vector>
 
 #include "airfoil/airfoil.hpp"
+#include "apl/chain.hpp"
 #include "apl/exec.hpp"
 #include "apl/fault.hpp"
 #include "apl/io/ckpt.hpp"
@@ -109,31 +110,24 @@ std::string run_json(const std::string& name, const apl::Profile& prof,
   return os.str();
 }
 
-std::string chain_extra(const ops::ChainStats& cs) {
+/// The chain/tile statistics as JSON members. op2 runs also report
+/// `verbatim` (unfused fallback replays, which the tiling gate requires to
+/// be zero); OPS chains have no such fallback and omit the key.
+std::string chain_members(const apl::chain::Stats& cs, bool with_verbatim) {
   std::ostringstream os;
-  os << ",\n   \"chain\": {\"flushes\": " << cs.flushes
-     << ", \"loops\": " << cs.loops << ", \"tiles\": " << cs.tiles
-     << ", \"max_chain\": " << cs.max_chain
+  os << "\"flushes\": " << cs.flushes << ", \"loops\": " << cs.loops
+     << ", \"tiles\": " << cs.tiles;
+  if (with_verbatim) os << ", \"verbatim\": " << cs.verbatim;
+  os << ", \"max_chain\": " << cs.max_chain
      << ", \"eager_bytes\": " << cs.eager_bytes
      << ", \"tiled_bytes\": " << cs.tiled_bytes
-     << ", \"traffic_saved_fraction\": " << cs.traffic_saved_fraction()
-     << "}";
+     << ", \"traffic_saved_fraction\": " << cs.traffic_saved_fraction();
   return os.str();
 }
 
-/// op2 flavour: the unstructured chains additionally count verbatim
-/// (unfused fallback) replays, which the tiling gate requires to be zero.
-std::string chain_extra(const op2::ChainStats& cs) {
-  std::ostringstream os;
-  os << ",\n   \"chain\": {\"flushes\": " << cs.flushes
-     << ", \"loops\": " << cs.loops << ", \"tiles\": " << cs.tiles
-     << ", \"verbatim\": " << cs.verbatim
-     << ", \"max_chain\": " << cs.max_chain
-     << ", \"eager_bytes\": " << cs.eager_bytes
-     << ", \"tiled_bytes\": " << cs.tiled_bytes
-     << ", \"traffic_saved_fraction\": " << cs.traffic_saved_fraction()
-     << "}";
-  return os.str();
+/// One lazy run's chain/tile statistics, as a run_json `extra`.
+std::string chain_extra(const apl::chain::Stats& cs, bool with_verbatim) {
+  return ",\n   \"chain\": {" + chain_members(cs, with_verbatim) + "}";
 }
 
 // ---- plan cache: cold vs warm plan-analysis time ---------------------------
@@ -675,14 +669,8 @@ std::string op2_tiling_json(const Op2TilingProbe& p) {
   os << "  {\"run\": \"airfoil_tiling_gate\""
      << ", \"eager_seconds\": " << p.eager_seconds
      << ", \"tiled_seconds\": " << p.tiled_seconds
-     << ", \"speedup\": " << p.speedup()
-     << ", \"flushes\": " << p.chain.flushes
-     << ", \"loops\": " << p.chain.loops << ", \"tiles\": " << p.chain.tiles
-     << ", \"verbatim\": " << p.chain.verbatim
-     << ", \"max_chain\": " << p.chain.max_chain
-     << ", \"eager_bytes\": " << p.chain.eager_bytes
-     << ", \"tiled_bytes\": " << p.chain.tiled_bytes
-     << ", \"traffic_saved_fraction\": " << p.chain.traffic_saved_fraction()
+     << ", \"speedup\": " << p.speedup() << ", "
+     << chain_members(p.chain, /*with_verbatim=*/true)
      << ", \"bitwise_identical\": " << (p.bitwise_identical ? "true" : "false")
      << ", \"threaded_seconds\": " << p.threaded_seconds
      << ", \"color_rounds\": " << p.rounds << ", \"threaded_bitwise\": "
@@ -871,8 +859,9 @@ int main(int argc, char** argv) {
         best = std::move(app);
       }
     }
-    runs.push_back(run_json("airfoil", best->ctx().profile(), machine,
-                            chain_extra(best->ctx().chain_stats())));
+    runs.push_back(run_json(
+        "airfoil", best->ctx().profile(), machine,
+        chain_extra(best->ctx().chain_stats(), /*with_verbatim=*/true)));
     std::fputs(best->ctx().profile().report().c_str(), stdout);
     std::fputs(
         apl::perf::roofline_table(best->ctx().profile(), machine).c_str(),
@@ -892,8 +881,9 @@ int main(int argc, char** argv) {
     cloverleaf::CloverOps app(opts);
     app.run(args.clover_steps);
     app.ctx().flush();
-    runs.push_back(run_json("cloverleaf_lazy", app.ctx().profile(), machine,
-                            chain_extra(app.ctx().chain_stats())));
+    runs.push_back(run_json(
+        "cloverleaf_lazy", app.ctx().profile(), machine,
+        chain_extra(app.ctx().chain_stats(), /*with_verbatim=*/false)));
     std::fputs(app.ctx().profile().report().c_str(), stdout);
   }
 
