@@ -10,11 +10,13 @@
 // memoized schedule lookup, the walk over a schedule's steps with a
 // cancel check at every boundary, the parked Resume of an interrupted
 // walk, profile accounting deferred to chain completion, and the
-// freeze/thaw of read-only globals. A family keeps its inspector, Plan IR
-// codec and audit, and supplies (privately, befriending the engine)
-// kChainNames, plan_chain, begin_chain, chain_steps and account_chain —
-// see Engine. chain_steps returns the step sequence of one walk: size()
-// and run(step, stats), dispatched through the family's step table.
+// freeze/thaw of globals (a reduction commits only when its chain
+// completes inside the par_loop that owns the target). A family keeps its
+// inspector, Plan IR codec and audit, and supplies (privately, befriending
+// the engine) kChainNames, plan_chain, begin_chain, chain_steps and
+// account_chain — see Engine. chain_steps returns the step sequence of
+// one walk: size() and run(step, stats), dispatched through the family's
+// step table.
 //
 // The cancel rule, the same for both families: a flush whose token is
 // already cancelled or preempted throws before touching the queue or a
@@ -78,10 +80,12 @@ std::uint64_t streaming_bytes(const std::vector<Info>& infos,
 
 /// A chain interrupted at a step boundary: its records, its schedule and
 /// the first step that did not run; `rounds` says which step sequence
-/// parked (op2 color rounds vs tiles). The records still reference their
-/// enqueue-time argument storage, so a resume must happen while that
-/// storage lives — drivers that discard the job instead (apl::serve
-/// retries from a checkpoint) discard the context, resume and all.
+/// parked (op2 color rounds vs tiles). The records' globals are
+/// snapshots and a parked reduction is dropped, not committed, so a
+/// resume never writes through a caller's global; state a kernel
+/// captures by reference must still outlive it. Drivers that discard the
+/// job instead (apl::serve retries from a checkpoint) discard the
+/// context, resume and all.
 template <class Record, class Schedule>
 struct Resume {
   std::vector<Record> chain;
@@ -100,11 +104,15 @@ struct Names {
   const char* round_point;  ///< checked between color rounds
 };
 
-// ---- freeze / thaw: queued loops run after par_loop returns, so a kRead
-// global (which may point into the caller's stack) is snapshotted at
-// enqueue time. Dats are context-owned and reduction globals flush before
-// par_loop returns. The snapshot's buffer moves whenever the closure is
-// copied, so thaw() re-points the global at it on every call.
+// ---- freeze / thaw: queued loops run after par_loop returns, and a global
+// may point into the caller's stack, so no queued loop touches the
+// caller's global while the chain runs. freeze() snapshots every global at
+// enqueue time: a kRead global reads its snapshot, and a reduction
+// accumulates into its own, which commit() stores in the caller's target
+// once the chain has completed (Engine::enqueue says when). A fused walk
+// gives each tile identity-initialised partials instead (split), which
+// commit() first folds into the snapshot in ascending tile order — so the
+// result does not depend on which team member ran which tile.
 
 template <class Arg>
 concept GlobalArg = requires(const Arg& a) {
@@ -115,31 +123,67 @@ concept GlobalArg = requires(const Arg& a) {
 
 template <GlobalArg Gbl>
 struct GblSnapshot {
-  Gbl g;
-  std::vector<std::remove_cvref_t<decltype(*std::declval<Gbl>().data)>> snap;
+  using T = std::remove_cvref_t<decltype(*std::declval<Gbl>().data)>;
+  Gbl g;  ///< as the caller passed it: `data` is the target
+  std::vector<T> snap;
+  std::vector<T> partials;  ///< reductions on a fused walk: `dim` per tile
+
+  bool reduces() const { return g.acc != exec::Access::kRead; }
 };
 
 template <class Arg>
 auto freeze(const Arg& a) {
   if constexpr (GlobalArg<Arg>) {
-    GblSnapshot<Arg> s{a, {}};
-    if (a.acc == exec::Access::kRead && a.data != nullptr) {
-      s.snap.assign(a.data, a.data + a.dim);
-    }
+    GblSnapshot<Arg> s{a, {}, {}};
+    if (a.data != nullptr) s.snap.assign(a.data, a.data + a.dim);
     return s;
   } else {
     return a;
   }
 }
 
+/// The argument a queued loop runs on; `tile` names the fused-walk tile
+/// (0 for a whole-loop replay). A global is a fresh copy pointing at its
+/// snapshot or at the tile's partials, so concurrent tiles share no
+/// mutable state and the caller's target is never written.
 template <class Arg>
-Arg& thaw(Arg& a) {
+Arg& thaw(Arg& a, std::size_t /*tile*/ = 0) {
   return a;
 }
 template <class Gbl>
-Gbl& thaw(GblSnapshot<Gbl>& s) {
-  if (!s.snap.empty()) s.g.data = s.snap.data();
-  return s.g;
+Gbl thaw(GblSnapshot<Gbl>& s, std::size_t tile = 0) {
+  Gbl g = s.g;
+  if (!s.partials.empty()) {
+    g.data = s.partials.data() + tile * static_cast<std::size_t>(g.dim);
+  } else if (!s.snap.empty()) {
+    g.data = s.snap.data();
+  }
+  return g;
+}
+
+/// Gives a reduction `tiles` blocks of identity-initialised partials
+/// before a fused walk starts; other arguments ignore it.
+template <class Arg>
+void split(Arg&, std::size_t) {}
+template <class Gbl>
+void split(GblSnapshot<Gbl>& s, std::size_t tiles) {
+  if (!s.reduces()) return;
+  s.partials.assign(
+      tiles * static_cast<std::size_t>(s.g.dim),
+      exec::reduction_identity<typename GblSnapshot<Gbl>::T>(s.g.acc));
+}
+
+/// Stores a completed reduction in the caller's target, folding any tile
+/// partials into the snapshot in ascending tile order first.
+template <class Arg>
+void commit(Arg&) {}
+template <class Gbl>
+void commit(GblSnapshot<Gbl>& s) {
+  if (!s.reduces()) return;
+  exec::fold_partials(s.g.acc, static_cast<std::size_t>(s.g.dim), s.partials,
+                      s.snap.data());
+  s.partials.clear();
+  std::copy(s.snap.begin(), s.snap.end(), s.g.data);
 }
 
 // ---- the engine ------------------------------------------------------------
@@ -157,15 +201,21 @@ class Engine : public exec::ExecContext {
  public:
   /// Queues a record (par_loop under lazy mode). A record carrying a
   /// global reduction is a flush point: the chain, this loop included,
-  /// runs before par_loop returns.
+  /// runs before par_loop returns, and only then — still inside the
+  /// par_loop that owns the target — does `commit` store the result. A
+  /// chain that parks or throws instead never writes the target: its
+  /// resume completes the dats and drops the reduction with the records.
   void enqueue(Record rec) {
     const bool reduction = std::any_of(
         rec.infos.begin(), rec.infos.end(), [](const auto& a) {
           return a.is_gbl && a.acc != exec::Access::kRead;
         });
+    const auto commit = reduction ? rec.commit : nullptr;
     queue_.push_back(std::move(rec));
     update_pending();
-    if (reduction) flush();
+    if (!reduction) return;
+    flush();
+    commit();
   }
   /// True while a chain is being walked (par_loop then runs eagerly as a
   /// chain member instead of re-enqueueing itself).

@@ -36,8 +36,12 @@
 // guarantees each dependence source executes no later than its sink (same
 // tile ⇒ chain order decides, exactly as in eager execution). The tiled
 // schedule is therefore a *reordering-free* re-schedule: sequential tiled
-// execution is bitwise identical to eager sequential execution, which is
-// what the testkit differential matrix asserts.
+// execution leaves every dat bitwise identical to eager sequential
+// execution, which is what the testkit differential matrix asserts. The
+// one value tiling reassociates is a global reduction: each tile
+// accumulates its own partials, folded in ascending tile order once the
+// chain completes, so the result is identical across the serial walk and
+// every team size and within a ULP bound of eager execution.
 //
 // Tile schedules compile into the Plan IR (section-framed payload, kind
 // "op2chain", versioned by op2::kPlanIrVersion) and persist in
@@ -65,10 +69,14 @@ namespace op2 {
 class Context;
 
 /// One queued parallel loop: everything the inspector needs (target set +
-/// argument descriptors), plus two type-erased executors. `run_full`
-/// replays the loop through the context's full eager backend dispatch
-/// (used by unfused schedules); `run_slice` runs elements [lo, hi) in
-/// ascending order (used by tiled schedules). `simd_pack_safe` is false
+/// argument descriptors), plus type-erased executors sharing the loop's
+/// frozen arguments. `run_full` replays the loop through the context's
+/// full eager backend dispatch (used by unfused schedules); `run_slice`
+/// runs elements [lo, hi) of tile `tile` in ascending order (used by tiled
+/// schedules; slices of different tiles may run concurrently). For a loop
+/// with a global reduction, `split` gives each of a fused walk's tiles
+/// its own partials and `commit` stores the result in the caller's target
+/// (apl/chain.hpp); both are no-ops otherwise. `simd_pack_safe` is false
 /// when some dat is both read and written with an indirect side — packed
 /// execution could then pair conflicting elements a pack never pairs
 /// eagerly, so tiled slices fall back to ordered scalar execution.
@@ -79,7 +87,9 @@ struct LoopRecord {
   bool simd_pack_safe = true;
   std::vector<ArgInfo> infos;
   std::function<void()> run_full;
-  std::function<void(index_t, index_t)> run_slice;
+  std::function<void(index_t lo, index_t hi, index_t tile)> run_slice;
+  std::function<void(index_t ntiles)> split;
+  std::function<void()> commit;
 };
 
 /// Lazy-engine statistics (apl/chain.hpp), exposed through
@@ -99,7 +109,10 @@ using ChainStats = apl::chain::Stats;
 /// its readers' and overwriters'). Colors are therefore execution
 /// rounds — the threaded executor runs color c's tiles concurrently
 /// after all colors < c have finished, which the ordering property makes
-/// bitwise-identical to the serial ascending-tile walk.
+/// bitwise-identical to the serial ascending-tile walk. Global reductions
+/// accumulate per tile and fold in ascending tile order, so they too are
+/// identical across the serial walk and every team size (and within the
+/// reassociation ULP bound of eager execution).
 struct TileSchedule {
   bool fused = false;
   index_t ntiles = 0;

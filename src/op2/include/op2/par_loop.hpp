@@ -26,6 +26,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -230,7 +231,7 @@ void run_threads(Context& ctx, const std::string& name, const Set& /*set*/,
           }
         });
   }
-  (apl::exec::finish_gbl(args, team), ...);
+  (apl::exec::finish_gbl(args), ...);
   ctx.profile().stats(name).colors +=
       static_cast<std::uint64_t>(plan.num_block_colors);
 }
@@ -523,14 +524,17 @@ void par_loop(Context& ctx, const std::string& name, const Set& set,
       rec.n = set.core_size();
       rec.simd_pack_safe = detail::simd_pack_safe(infos);
       rec.infos = infos;
-      // kRead globals are snapshotted now (apl::chain::freeze): the
-      // caller may reuse the variable before the flush.
+      // Globals are snapshotted now (apl::chain::freeze): the caller may
+      // reuse a kRead variable before the flush, and a reduction's target
+      // is written only by `commit`. Every executor shares the snapshots.
+      auto frozen = std::make_shared<
+          std::tuple<decltype(apl::chain::freeze(args))...>>(
+          apl::chain::freeze(args)...);
       rec.run_full = [&ctx, name, sp = &set, kernel = kernel,
-                      frozen = std::make_tuple(
-                          apl::chain::freeze(args)...)]() mutable {
+                      frozen]() mutable {
         std::apply(
             [&](auto&... fz) {
-              auto run = [&](auto&... as) {
+              auto run = [&](auto&&... as) {
                 apl::trace::Span loop_span(apl::trace::kLoop, name);
                 loop_span.set_elements(
                     static_cast<std::uint64_t>(sp->core_size()));
@@ -565,20 +569,14 @@ void par_loop(Context& ctx, const std::string& name, const Set& set,
               };
               run(apl::chain::thaw(fz)...);
             },
-            frozen);
+            *frozen);
       };
       rec.run_slice = [&ctx, name, pack_safe = rec.simd_pack_safe,
                        kernel = kernel,
-                       frozen = std::make_tuple(apl::chain::freeze(args)...)](
-                          index_t lo, index_t hi) {
-        // Per-call copy of the frozen tuple: the color-round executor may
-        // run slices of the same loop concurrently on team members, and
-        // thaw() repoints each frozen global at its snapshot — mutation
-        // that must land in per-member state, not the shared closure.
-        auto thawed = frozen;
+                       frozen](index_t lo, index_t hi, index_t tile) {
         std::apply(
             [&](auto&... fz) {
-              auto run = [&](auto&... as) {
+              auto run = [&](auto&&... as) {
                 apl::trace::Span tile_span(apl::trace::kTile, name);
                 tile_span.set_elements(static_cast<std::uint64_t>(hi - lo));
                 tile_span.set_index(lo);
@@ -597,11 +595,23 @@ void par_loop(Context& ctx, const std::string& name, const Set& set,
                 // would otherwise race on the map and lose increments.
                 ctx.profile().add_seconds(name, apl::now_seconds() - t0);
               };
-              run(apl::chain::thaw(fz)...);
+              run(apl::chain::thaw(fz, static_cast<std::size_t>(tile))...);
             },
-            thawed);
+            *frozen);
       };
-      // A reduction record flushes the chain, itself included, right here.
+      rec.split = [frozen](index_t ntiles) {
+        std::apply(
+            [&](auto&... fz) {
+              (apl::chain::split(fz, static_cast<std::size_t>(ntiles)), ...);
+            },
+            *frozen);
+      };
+      rec.commit = [frozen] {
+        std::apply([](auto&... fz) { (apl::chain::commit(fz), ...); },
+                   *frozen);
+      };
+      // A reduction record flushes the chain, itself included, right here,
+      // and commits its result once that chain completes.
       ctx.enqueue(std::move(rec));
       return;
     }

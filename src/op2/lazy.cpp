@@ -256,8 +256,9 @@ std::uint64_t chain_config_hash(const Context& ctx) {
 
 // --- steps -----------------------------------------------------------------
 
-void run_one_loop_slice(const LoopRecord& rec, index_t lo, index_t hi) {
-  if (lo < hi) rec.run_slice(lo, hi);
+void run_one_loop_slice(const LoopRecord& rec, index_t lo, index_t hi,
+                        index_t t) {
+  if (lo < hi) rec.run_slice(lo, hi, t);
 }
 
 void run_tile(const TileSchedule& sched, const std::vector<LoopRecord>& chain,
@@ -268,7 +269,8 @@ void run_tile(const TileSchedule& sched, const std::vector<LoopRecord>& chain,
   // written — the oracle must catch the stale value.
   if (t == sched.ntiles - 1) {
     for (std::size_t l = chain.size(); l-- > 0;) {
-      run_one_loop_slice(chain[l], sched.bounds[l][t], sched.bounds[l][t + 1]);
+      run_one_loop_slice(chain[l], sched.bounds[l][t], sched.bounds[l][t + 1],
+                         t);
     }
     return;
   }
@@ -281,23 +283,8 @@ void run_tile(const TileSchedule& sched, const std::vector<LoopRecord>& chain,
     // boundary — it then executes in no tile at all.
     if (t + 1 < sched.ntiles && hi > lo) --hi;
 #endif
-    run_one_loop_slice(chain[l], lo, hi);
+    run_one_loop_slice(chain[l], lo, hi, t);
   }
-}
-
-/// True when a fused chain may run through the color-round team
-/// executor. Chains that write a live global (a reduction — by
-/// construction at most the chain's last loop, since par_loop flushes
-/// right after enqueueing one) stay on the serial tile walk: concurrent
-/// slices would race on the reduction target and reorder its
-/// floating-point combine.
-bool rounds_eligible(const std::vector<LoopRecord>& chain) {
-  for (const LoopRecord& rec : chain) {
-    for (const ArgInfo& a : rec.infos) {
-      if (a.is_gbl && writes(a.acc)) return false;
-    }
-  }
-  return true;
 }
 
 /// Partitions tiles by color, ascending tile index within each round —
@@ -330,7 +317,9 @@ void run_tile_step(const ChainSteps& s, std::size_t i, apl::chain::Stats&) {
 /// run_team barrier closing the round. Legality rests on the layered
 /// coloring (see color_tiles): every conflict crosses a round boundary,
 /// so rounds are data-race-free internally, and the barrier orders them —
-/// bitwise identity with the serial walk follows. The engine checks the
+/// bitwise identity with the serial walk follows. A reduction writes only
+/// its tile's own partials, so it needs neither a lock nor a fixed member
+/// order, and it folds once after the walk. The engine checks the
 /// cancel token between rounds, always on the submitting thread, so no
 /// round is ever half-started. Should the team be disabled by the time a
 /// parked chain resumes, rounds degrade to serial execution in the same
@@ -784,7 +773,10 @@ bool Context::begin_chain(const TileSchedule& sched,
   }
   stats.tiles += static_cast<std::uint64_t>(sched.ntiles);
   span.set_index(sched.ntiles);
-  return tile_team_enabled() && rounds_eligible(chain);
+  // Reductions accumulate per tile on either walk (apl/chain.hpp), so a
+  // chain that carries one runs on the team like any other.
+  for (const LoopRecord& rec : chain) rec.split(sched.ntiles);
+  return tile_team_enabled();
 }
 
 detail::ChainSteps Context::chain_steps(const TileSchedule& sched,

@@ -54,6 +54,9 @@ struct LoopRecord {
   Range range;
   std::vector<ArgInfo> infos;
   std::function<void(const Range&)> run;
+  /// Stores the loop's global reductions in the callers' targets
+  /// (apl/chain.hpp); a no-op for a loop without one.
+  std::function<void()> commit;
 };
 
 /// Lazy-engine statistics (apl/chain.hpp), reported by the tiling bench

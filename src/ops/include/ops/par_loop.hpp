@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <array>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -256,7 +257,7 @@ void execute_loop(Context& ctx, const Range& range, int out_dim,
             span(range.lo[out_dim] + static_cast<index_t>(b),
                  range.lo[out_dim] + static_cast<index_t>(e), tid);
           });
-      (apl::exec::finish_gbl(args, pool.size()), ...);
+      (apl::exec::finish_gbl(args), ...);
       break;
     }
   }
@@ -338,12 +339,17 @@ void par_loop(Context& ctx, const std::string& name, const Block& block,
     rec.block = &block;
     rec.range = range;
     rec.infos = infos;
+    // Globals are snapshotted now (apl::chain::freeze); a reduction's
+    // target is written only by `commit`, which the engine calls once the
+    // chain completes inside this par_loop.
+    auto frozen =
+        std::make_shared<std::tuple<decltype(apl::chain::freeze(args))...>>(
+            apl::chain::freeze(args)...);
     rec.run = [&ctx, name, nd = block.ndim(), kernel = kernel,
-               frozen = std::make_tuple(apl::chain::freeze(args)...)](
-                  const Range& sub) mutable {
+               frozen](const Range& sub) mutable {
       std::apply(
           [&](auto&... fr) {
-            const auto invoke = [&](auto&... as) {
+            const auto invoke = [&](auto&&... as) {
               const bool guard_stencil =
                   ctx.verifying(apl::verify::kStencil);
               const bool checked = ctx.debug_checks() || guard_stencil;
@@ -371,10 +377,15 @@ void par_loop(Context& ctx, const std::string& name, const Block& block,
             };
             invoke(apl::chain::thaw(fr)...);
           },
-          frozen);
+          *frozen);
+    };
+    rec.commit = [frozen] {
+      std::apply([](auto&... fr) { (apl::chain::commit(fr), ...); },
+                 *frozen);
     };
     // A reduction record flushes the chain, itself included, right here,
-    // so logged global outputs are final; kRead globals log nothing.
+    // and commits its result, so logged global outputs are final; kRead
+    // globals log nothing.
     ctx.enqueue(std::move(rec));
     if (Checkpointer* ck = ctx.checkpointer()) {
       std::vector<std::uint8_t> gbl_log;

@@ -28,6 +28,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <vector>
 
 #include "apl/profile.hpp"
 #include "apl/verify.hpp"
@@ -74,6 +75,23 @@ T reduction_identity(Access acc) {
   }
 }
 
+/// Folds consecutive blocks of `dim` reduction partials into `into`, in
+/// ascending block order — the one combine order every partials holder
+/// (thread slots here, tiles in apl::chain::commit) uses.
+template <class T>
+void fold_partials(Access acc, std::size_t dim, const std::vector<T>& partials,
+                   T* into) {
+  for (std::size_t i = 0; i < partials.size(); ++i) {
+    T& out = into[i % dim];
+    switch (acc) {
+      case Access::kInc: out += partials[i]; break;
+      case Access::kMin: out = std::min(out, partials[i]); break;
+      case Access::kMax: out = std::max(out, partials[i]); break;
+      default: break;
+    }
+  }
+}
+
 /// Per-worker partials of a global reduction on a threads backend (op2
 /// and ops): prepare_gbl gives a reduction argument `slots` identity-
 /// initialised copies of its `dim` values in `scratch`; finish_gbl folds
@@ -92,20 +110,9 @@ void prepare_gbl(Arg& g, std::size_t slots) {
   }
 }
 template <class Arg>
-void finish_gbl(Arg& g, std::size_t slots) {
+void finish_gbl(Arg& g) {
   if constexpr (requires { g.scratch; }) {
-    if (g.scratch.empty()) return;
-    for (std::size_t s = 0; s < slots; ++s) {
-      for (std::size_t d = 0; d < static_cast<std::size_t>(g.dim); ++d) {
-        const auto v = g.scratch[s * static_cast<std::size_t>(g.dim) + d];
-        switch (g.acc) {
-          case Access::kInc: g.data[d] += v; break;
-          case Access::kMin: g.data[d] = std::min(g.data[d], v); break;
-          case Access::kMax: g.data[d] = std::max(g.data[d], v); break;
-          default: break;
-        }
-      }
-    }
+    fold_partials(g.acc, static_cast<std::size_t>(g.dim), g.scratch, g.data);
     g.scratch.clear();
   }
 }

@@ -7,9 +7,12 @@
 //
 // Tolerance policy: bitwise equality is the default. Only combinations
 // that genuinely reassociate floating-point accumulation (ComboMeta::
-// reorders) get a ULP bound, and then only for global reductions and for
-// dats whose values are data-dependent on indirect-increment commit order
-// (op2_taint). OPS has no scatters, so OPS dats are always bitwise.
+// reorders) get a ULP bound, and then only for global reductions and —
+// for the combos whose scatters commit in another order — for dats whose
+// values are data-dependent on indirect-increment commit order
+// (op2_taint). Fused lazy walks reassociate reductions only (per-tile
+// partials): their dats stay bitwise. OPS has no scatters, so OPS dats
+// are always bitwise.
 //
 // Header-only: runners instantiate the par_loop backend templates (see
 // op2_harness.hpp for why that must happen per-binary).
@@ -112,15 +115,16 @@ inline std::optional<Divergence> run_op2_oracle(const Op2CaseSpec& spec,
   // snapshot reads every dat, which is a flush point and would collapse
   // every chain to length 1); `tile` forces a small tile size so the tiny
   // generated meshes genuinely fuse instead of degenerating to one tile.
-  // Order-preserving sparse tiling keeps seq/simd lazy-tiled runs bitwise;
-  // only the threads-backend variant reorders (unfused fallback chains run
-  // through the colored plan executor).
+  // Order-preserving sparse tiling keeps seq/simd lazy-tiled dats
+  // bitwise, and reassociates only reductions (per-tile partials); the
+  // threads-backend variant also reorders scatters (unfused fallback
+  // chains run through the colored plan executor).
   //
   // The `team` axis drives fused chains through the threaded color-round
   // executor with an explicit tile team of that size, on the seq backend
   // so everything else (unfused fallbacks included) stays bitwise. The
   // layered coloring makes round execution order-preserving, so these
-  // combos assert bitwise agreement at every team size — and they enable
+  // combos assert bitwise dats at every team size — and they enable
   // the kPlan audit, which proves every schedule they ran was a legal
   // round order (this is what catches APL_MUTATE_OP2_COLOR_MERGE
   // deterministically on a 1-core host, where the merged round's race
@@ -136,27 +140,30 @@ inline std::optional<Divergence> run_op2_oracle(const Op2CaseSpec& spec,
     int team;
   };
   const Plain plains[] = {
-      {{"simd", false, false}, Backend::kSimd, false, 0, false, true, 0, 0},
-      {{"threads", true, false}, Backend::kThreads, false, 0, false, true, 0,
-       0},
-      {{"threads-bs4", true, false}, Backend::kThreads, false, 4, false, true,
+      {{"simd", Reorders::kNone, false}, Backend::kSimd, false, 0, false,
+       true, 0, 0},
+      {{"threads", Reorders::kAll, false}, Backend::kThreads, false, 0,
+       false, true, 0, 0},
+      {{"threads-bs4", Reorders::kAll, false}, Backend::kThreads, false, 4,
+       false, true, 0, 0},
+      {{"cudasim", Reorders::kAll, false}, Backend::kCudaSim, false, 0,
+       false, true, 0, 0},
+      {{"soa", Reorders::kNone, false}, Backend::kSeq, true, 0, false, true,
        0, 0},
-      {{"cudasim", true, false}, Backend::kCudaSim, false, 0, false, true, 0,
-       0},
-      {{"soa", false, false}, Backend::kSeq, true, 0, false, true, 0, 0},
-      {{"lazy-unfused", false, true}, Backend::kSeq, false, 0, true, false, 0,
-       0},
-      {{"lazy-tiled", false, true}, Backend::kSeq, false, 0, true, true, 5, 0},
-      {{"lazy-tiled-simd", false, true}, Backend::kSimd, false, 0, true, true,
-       5, 0},
-      {{"lazy-tiled-threads", true, true}, Backend::kThreads, false, 0, true,
-       true, 5, 0},
-      {{"lazy-tiled-threads-exec-t1", false, true}, Backend::kSeq, false, 0,
-       true, true, 5, 1},
-      {{"lazy-tiled-threads-exec-t2", false, true}, Backend::kSeq, false, 0,
-       true, true, 5, 2},
-      {{"lazy-tiled-threads-exec-t4", false, true}, Backend::kSeq, false, 0,
-       true, true, 5, 4},
+      {{"lazy-unfused", Reorders::kNone, true}, Backend::kSeq, false, 0,
+       true, false, 0, 0},
+      {{"lazy-tiled", Reorders::kReductions, true}, Backend::kSeq, false, 0,
+       true, true, 5, 0},
+      {{"lazy-tiled-simd", Reorders::kReductions, true}, Backend::kSimd,
+       false, 0, true, true, 5, 0},
+      {{"lazy-tiled-threads", Reorders::kAll, true}, Backend::kThreads,
+       false, 0, true, true, 5, 0},
+      {{"lazy-tiled-threads-exec-t1", Reorders::kReductions, true},
+       Backend::kSeq, false, 0, true, true, 5, 1},
+      {{"lazy-tiled-threads-exec-t2", Reorders::kReductions, true},
+       Backend::kSeq, false, 0, true, true, 5, 2},
+      {{"lazy-tiled-threads-exec-t4", Reorders::kReductions, true},
+       Backend::kSeq, false, 0, true, true, 5, 4},
   };
   for (const auto& p : plains) {
     auto d = check(p.meta, [&]() {
@@ -187,7 +194,8 @@ inline std::optional<Divergence> run_op2_oracle(const Op2CaseSpec& spec,
   }
 
   // Distributed matrix: 1/2/4 ranks (partition-count invariance). One rank
-  // is order-preserving, so it must match bitwise; more ranks reassociate
+  // is order-preserving, so it must match bitwise (lazily, its fused walks
+  // reassociate reductions only); more ranks reassociate
   // reductions and indirect-increment commits. Each rank count also runs
   // lazily: per-rank chains queue until a halo exchange, reduction, or the
   // final fetch() forces a flush (fetch reads owner values through
@@ -199,19 +207,23 @@ inline std::optional<Divergence> run_op2_oracle(const Op2CaseSpec& spec,
     bool lazy;
   };
   std::vector<Dist> dists = {
-      {{"dist1", false, false}, 1, PartitionMethod::kBlock, false},
-      {{"dist2", true, false}, 2, PartitionMethod::kBlock, false},
-      {{"dist4", true, false}, 4, PartitionMethod::kBlock, false},
-      {{"dist1-lazy", false, true}, 1, PartitionMethod::kBlock, true},
-      {{"dist2-lazy", true, true}, 2, PartitionMethod::kBlock, true},
-      {{"dist4-lazy", true, true}, 4, PartitionMethod::kBlock, true},
+      {{"dist1", Reorders::kNone, false}, 1, PartitionMethod::kBlock, false},
+      {{"dist2", Reorders::kAll, false}, 2, PartitionMethod::kBlock, false},
+      {{"dist4", Reorders::kAll, false}, 4, PartitionMethod::kBlock, false},
+      {{"dist1-lazy", Reorders::kReductions, true}, 1,
+       PartitionMethod::kBlock, true},
+      {{"dist2-lazy", Reorders::kAll, true}, 2, PartitionMethod::kBlock,
+       true},
+      {{"dist4-lazy", Reorders::kAll, true}, 4, PartitionMethod::kBlock,
+       true},
   };
   for (const auto& m : spec.maps) {
     // k-way partitioning derives the adjacency from a map onto the base
     // set; only meaningful when the generated mesh has one.
     if (m.to == 0 && spec.set_sizes[m.from] > 0) {
       dists.push_back(
-          {{"dist2-kway", true, false}, 2, PartitionMethod::kKway, false});
+          {{"dist2-kway", Reorders::kAll, false}, 2, PartitionMethod::kKway,
+           false});
       break;
     }
   }
@@ -235,7 +247,7 @@ inline std::optional<Divergence> run_op2_oracle(const Op2CaseSpec& spec,
   // element-for-element through the tracked permutation. Gathers stay
   // bitwise; scatter commit order and reduction order change.
   if (!spec.maps.empty()) {
-    const ComboMeta meta{"renumber", true, false};
+    const ComboMeta meta{"renumber", Reorders::kAll, false};
     try {
       auto sys = build_op2_system(spec);
       const auto pos = renumber_and_track(*sys, 0);
@@ -263,7 +275,7 @@ inline std::optional<Divergence> run_op2_oracle(const Op2CaseSpec& spec,
   // program again. The replayed prefix restores logged reduction outputs
   // bitwise; the final state must match the uninterrupted baseline.
   if (spec.loops.size() >= 2) {
-    const ComboMeta meta{"ckpt", false, true};
+    const ComboMeta meta{"ckpt", Reorders::kNone, true};
     const std::string path = scratch_base("op2", spec.seed);
     const apl::io::CheckpointStore cleanup(path);
     try {
@@ -310,7 +322,7 @@ inline std::optional<Divergence> run_op2_oracle(const Op2CaseSpec& spec,
   // attaches — and the one rebuilt after restore — both flush to states
   // bitwise-identical to the uninterrupted eager baseline.
   if (spec.loops.size() >= 2) {
-    const ComboMeta meta{"lazy-ckpt", false, true};
+    const ComboMeta meta{"lazy-ckpt", Reorders::kNone, true};
     const std::string path = scratch_base("op2lz", spec.seed);
     const apl::io::CheckpointStore cleanup(path);
     try {
@@ -414,12 +426,13 @@ inline std::optional<Divergence> run_ops_oracle(const OpsCaseSpec& spec,
     bool tiling;
   };
   const Plain plains[] = {
-      {{"simd", false, false}, Backend::kSimd, false, true},
-      {{"threads", true, false}, Backend::kThreads, false, true},
-      {{"cudasim", true, false}, Backend::kCudaSim, false, true},
-      {{"lazy-untiled", false, true}, Backend::kSeq, true, false},
-      {{"lazy-tiled", false, true}, Backend::kSeq, true, true},
-      {{"lazy-tiled-threads", true, true}, Backend::kThreads, true, true},
+      {{"simd", Reorders::kNone, false}, Backend::kSimd, false, true},
+      {{"threads", Reorders::kAll, false}, Backend::kThreads, false, true},
+      {{"cudasim", Reorders::kAll, false}, Backend::kCudaSim, false, true},
+      {{"lazy-untiled", Reorders::kNone, true}, Backend::kSeq, true, false},
+      {{"lazy-tiled", Reorders::kNone, true}, Backend::kSeq, true, true},
+      {{"lazy-tiled-threads", Reorders::kAll, true}, Backend::kThreads, true,
+       true},
   };
   for (const auto& p : plains) {
     auto d = check(p.meta, [&]() {
@@ -444,9 +457,9 @@ inline std::optional<Divergence> run_ops_oracle(const OpsCaseSpec& spec,
       int nranks;
     };
     const Dist dists[] = {
-        {{"dist1", false, false}, 1},
-        {{"dist2", true, false}, 2},
-        {{"dist4", true, false}, 4},
+        {{"dist1", Reorders::kNone, false}, 1},
+        {{"dist2", Reorders::kAll, false}, 2},
+        {{"dist4", Reorders::kAll, false}, 4},
     };
     for (const auto& c : dists) {
       auto d = check(c.meta, [&]() {
@@ -463,7 +476,7 @@ inline std::optional<Divergence> run_ops_oracle(const OpsCaseSpec& spec,
   // Checkpoint-restart midway (loop-only programs: the checkpointer's
   // chain analysis hooks par_loop and cannot see raw halo transfers).
   if (spec.loops.size() >= 2 && !ops_has_halo_transfer(spec)) {
-    const ComboMeta meta{"ckpt", false, true};
+    const ComboMeta meta{"ckpt", Reorders::kNone, true};
     const std::string path = scratch_base("ops", spec.seed);
     const apl::io::CheckpointStore cleanup(path);
     try {

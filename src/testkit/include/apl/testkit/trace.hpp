@@ -26,14 +26,23 @@ struct Trace {
   bool per_loop = true;
 };
 
+/// Which floating-point accumulations a combination may reassociate, and
+/// so which values get the ULP tolerance; everything else must still
+/// match bitwise.
+enum class Reorders {
+  kNone,
+  /// Global reductions only (per-tile partials of a fused lazy walk):
+  /// every dat, tainted or not, stays bitwise.
+  kReductions,
+  /// Reductions and the dats data-dependent on scatters (parallel
+  /// partials, indirect-increment commit order, rank partials).
+  kAll,
+};
+
 /// How one oracle combination relates to the baseline.
 struct ComboMeta {
   std::string name;
-  /// True when the combination may reassociate floating-point accumulation
-  /// (parallel partials, indirect-increment commit order, rank partials):
-  /// reductions — and dats data-dependent on scatters — get the ULP
-  /// tolerance; everything else must still match bitwise.
-  bool reorders = false;
+  Reorders reorders = Reorders::kNone;
   bool final_only = false;
 };
 
@@ -73,7 +82,8 @@ std::optional<Divergence> compare_traces(
       return fail(static_cast<int>(l), "<reduction>", -1, 0, 0, 0);
     }
     for (std::size_t c = 0; c < want.size(); ++c) {
-      if (!values_agree(want[c], var.reds[l][c], combo.reorders, max_ulps)) {
+      if (!values_agree(want[c], var.reds[l][c],
+                        combo.reorders != Reorders::kNone, max_ulps)) {
         return fail(static_cast<int>(l), "<reduction>", -1,
                     static_cast<int>(c), want[c], var.reds[l][c]);
       }
@@ -85,7 +95,9 @@ std::optional<Divergence> compare_traces(
                               const std::vector<std::vector<double>>& got,
                               int loop) -> std::optional<Divergence> {
     for (std::size_t d = 0; d < want.size(); ++d) {
-      const bool reassoc = combo.reorders && d < taint.size() && taint[d];
+      const bool reassoc =
+          combo.reorders == Reorders::kAll &&
+          d < taint.size() && taint[d];
       const int dim = dat_dims[d];
       for (std::size_t i = 0; i < want[d].size(); ++i) {
         const std::size_t vi = map_index(static_cast<int>(d), i);

@@ -4,7 +4,9 @@
 //     queue — nothing runs, nothing parks, the stats are unchanged;
 //   * a preemption request or cancel observed after the first step takes
 //     effect at the next tile boundary: the remainder parks resumable and
-//     the next flush point completes exactly the steps that did not run.
+//     the next flush point completes exactly the steps that did not run;
+//   * a reduction whose chain did not complete inside its own par_loop
+//     never writes its target, even once a later flush completes it.
 // op2 walks the sparse-tiled Airfoil-style line mesh, ops a tiled Jacobi
 // chain; each kernel tick counts invocations so a test can fire mid-chain.
 #include <cstring>
@@ -44,6 +46,9 @@ class Program {
   virtual std::vector<double> state() = 0;
   /// Invocations of the ticking kernel in one whole program.
   virtual int total_ticks() const = 0;
+  /// Sums the program's first field into `*target` (a reduction, so a
+  /// flush point); `tick` fires from the kernel after every invocation.
+  virtual void reduce(double* target, int* counter, Tick tick) = 0;
 };
 
 class Op2Program final : public Program {
@@ -63,6 +68,16 @@ class Op2Program final : public Program {
   }
   std::vector<double> state() override { return op2_lazy_sys::state_of(*s_); }
   int total_ticks() const override { return 3 * op2_lazy_sys::kNodes; }
+  void reduce(double* target, int* counter, Tick tick) override {
+    op2::par_loop(
+        s_->ctx, "sum", *s_->nodes,
+        [counter, tick](op2::Acc<double> v, op2::Acc<double> g) {
+          g[0] += v[0];
+          tick(&++*counter);
+        },
+        op2::arg(*s_->x, apl::exec::Access::kRead),
+        op2::arg_gbl(target, 1, apl::exec::Access::kInc));
+  }
 
  private:
   std::unique_ptr<op2_lazy_sys::LazySys> s_;
@@ -121,6 +136,15 @@ class OpsProgram final : public Program {
     return out;
   }
   int total_ticks() const override { return 3 * kN * kN; }
+  void reduce(double* target, int* counter, Tick tick) override {
+    ops::par_loop(g_.ctx, "sum", *g_.grid, g_.interior(),
+                  [counter, tick](ops::Acc<double> u, double* g) {
+                    g[0] += u(0, 0);
+                    tick(&++*counter);
+                  },
+                  ops::arg(*g_.u, apl::exec::Access::kRead),
+                  ops::arg_gbl(target, 1, apl::exec::Access::kInc));
+  }
 
  private:
   apl::testkit::HeatGrid g_;
@@ -264,6 +288,65 @@ void raw_access_completes_parked(const Family& f) {
   EXPECT_TRUE(bitwise_equal(ref, got));
 }
 
+// A reduction's value reaches its target only when its chain completes
+// inside the par_loop that owns the target: a chain that parks, or a
+// record whose flush threw before it ran, outlives that par_loop — and,
+// typically, the caller's local it was summing into. Completing it later
+// must finish the dats and drop the reduction. The targets here stay
+// alive on the heap, so a stray write shows without a sanitizer.
+constexpr double kSentinel = -7.25;
+
+void parked_reduction_never_writes_target(const Family& f) {
+  SCOPED_TRACE(f.name);
+  const std::vector<double> ref = eager_reference(f);
+
+  apl::cancel::Token tok;
+  apl::cancel::Scope scope(&tok);
+  auto p = f.make(true);
+  p->enqueue(nullptr, nullptr);
+  auto target = std::make_unique<double>(kSentinel);
+  int calls = 0;
+  g_token = &tok;
+  EXPECT_THROW(p->reduce(target.get(), &calls,
+                         [](int* c) {
+                           if (*c == 10) g_token->cancel(Reason::kDeadline);
+                         }),
+               apl::cancel::Cancelled);
+  EXPECT_EQ(*target, kSentinel) << "the parked chain wrote its target";
+  ASSERT_TRUE(p->chain_resumable());
+
+  tok.reset();
+  p->ctx().flush();
+  EXPECT_FALSE(p->chain_resumable());
+  EXPECT_EQ(*target, kSentinel) << "the resumed chain wrote its target";
+  EXPECT_TRUE(bitwise_equal(ref, p->state()))
+      << "resumed reduction chain diverged from eager";
+}
+
+void unflushed_reduction_never_writes_target(const Family& f) {
+  SCOPED_TRACE(f.name);
+  const std::vector<double> ref = eager_reference(f);
+
+  apl::cancel::Token tok;
+  apl::cancel::Scope scope(&tok);
+  auto p = f.make(true);
+  p->enqueue(nullptr, nullptr);
+  // A pending preemption passes par_loop's cancel point but stops the
+  // reduction's own flush before it touches the queue.
+  tok.request_preempt();
+  auto target = std::make_unique<double>(kSentinel);
+  int calls = 0;
+  EXPECT_THROW(p->reduce(target.get(), &calls, [](int*) {}),
+               apl::cancel::Cancelled);
+  EXPECT_EQ(p->chain_length(), f.loops + 1);
+
+  tok.clear_preempt();
+  p->ctx().flush();
+  EXPECT_GT(calls, 0) << "the queued reduction never ran";
+  EXPECT_EQ(*target, kSentinel) << "a later flush wrote the target";
+  EXPECT_TRUE(bitwise_equal(ref, p->state()));
+}
+
 TEST(LazyCancel, DeadlineParksChainBeforeAnyTileAndResumeCompletes) {
   deadline_parks_before_any_tile(kOp2);
 }
@@ -274,6 +357,13 @@ TEST(LazyCancel, RawAccessCompletesParkedRemainder) {
   raw_access_completes_parked(kOp2);
 }
 
+TEST(LazyCancel, ParkedReductionNeverWritesItsTarget) {
+  parked_reduction_never_writes_target(kOp2);
+}
+TEST(LazyCancel, UnflushedReductionNeverWritesItsTarget) {
+  unflushed_reduction_never_writes_target(kOp2);
+}
+
 TEST(OpsLazyCancel, DeadlineParksChainBeforeAnyTileAndResumeCompletes) {
   deadline_parks_before_any_tile(kOps);
 }
@@ -282,6 +372,12 @@ TEST(OpsLazyCancel, PreemptTakesEffectAtNextTileBoundaryThenResumes) {
 }
 TEST(OpsLazyCancel, RawAccessCompletesParkedRemainder) {
   raw_access_completes_parked(kOps);
+}
+TEST(OpsLazyCancel, ParkedReductionNeverWritesItsTarget) {
+  parked_reduction_never_writes_target(kOps);
+}
+TEST(OpsLazyCancel, UnflushedReductionNeverWritesItsTarget) {
+  unflushed_reduction_never_writes_target(kOps);
 }
 
 }  // namespace

@@ -36,12 +36,11 @@
 // --check-op2-tiling runs the same Airfoil mesh eager and lazy-tiled
 // (op2 sparse tiling, DESIGN.md §15) and fails unless every chain fused
 // (zero verbatim replays), the inspector projected a traffic saving, and
-// the tiled solution matches the eager one bitwise. It then reruns the
-// schedule through the threaded color-round executor on a 2-member team
-// (plus a reduction-free smoother chain, since airfoil's reduction
-// chains take the serial fallback) and fails unless real rounds ran and
-// both stayed bitwise-identical. The report's "airfoil" run executes
-// lazy-tiled and carries the fused-chain columns.
+// the tiled solution matches the eager one bitwise. It then reruns
+// Airfoil through the threaded color-round executor on a 2-member team
+// and fails unless its reduction chains ran real rounds, q stayed
+// bitwise equal to eager and rms to the serial tiled walk. The report's
+// "airfoil" run executes lazy-tiled and carries the fused-chain columns.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -548,9 +547,9 @@ struct Op2TilingProbe {
   double tiled_seconds = 0.0;
   double threaded_seconds = 0.0;
   op2::ChainStats chain;
-  std::uint64_t rounds = 0;  ///< color rounds of the threaded smoother run
+  std::uint64_t rounds = 0;  ///< color rounds of the team-of-2 run
   bool bitwise_identical = false;
-  bool threaded_bitwise = false;  ///< airfoil AND smoother teams matched
+  bool threaded_bitwise = false;  ///< team q == eager, rms == serial walk
 
   double speedup() const {
     return tiled_seconds > 0.0 ? eager_seconds / tiled_seconds : 0.0;
@@ -565,57 +564,6 @@ struct Op2TilingProbe {
            rounds > 0 && threaded_bitwise;
   }
 };
-
-/// Reduction-free gather/scatter smoother over a chain mesh: the shape the
-/// color-round executor actually parallelizes (airfoil's chains all carry
-/// the rms gbl reduction, so they take the documented serial fallback).
-/// Value-dependent FP increments make the bitwise gate meaningful — any
-/// round reordering would change summation order, not just timing.
-std::vector<double> run_round_smoother(apl::ThreadPool* team,
-                                       op2::ChainStats* stats) {
-  using apl::exec::Access;
-  constexpr op2::index_t kNodes = 4000;
-  constexpr op2::index_t kEdges = kNodes - 1;
-  op2::Context ctx;
-  op2::Set& nodes = ctx.decl_set(kNodes, "nodes");
-  op2::Set& edges = ctx.decl_set(kEdges, "edges");
-  std::vector<op2::index_t> table(2 * kEdges);
-  for (op2::index_t e = 0; e < kEdges; ++e) {
-    table[2 * e] = e;
-    table[2 * e + 1] = e + 1;
-  }
-  op2::Map& e2n = ctx.decl_map(edges, nodes, 2, table, "e2n");
-  std::vector<double> xi(kNodes), wi(kEdges, 0.0);
-  for (op2::index_t i = 0; i < kNodes; ++i) {
-    xi[static_cast<std::size_t>(i)] = 0.5 + 1e-4 * static_cast<double>(i);
-  }
-  op2::Dat<double>& x = ctx.decl_dat<double>(nodes, 1, xi, "x");
-  op2::Dat<double>& w = ctx.decl_dat<double>(edges, 1, wi, "w");
-
-  if (team != nullptr) ctx.set_tile_team(team);
-  ctx.set_tile_size(64);
-  ctx.set_lazy(true);
-  for (int step = 0; step < 4; ++step) {
-    op2::par_loop(
-        ctx, "gather", edges,
-        [](op2::Acc<double> we, op2::Acc<double> a, op2::Acc<double> b) {
-          we[0] = a[0] + b[0];
-        },
-        op2::arg(w, Access::kWrite), op2::arg(x, e2n, 0, Access::kRead),
-        op2::arg(x, e2n, 1, Access::kRead));
-    op2::par_loop(
-        ctx, "scatter", edges,
-        [](op2::Acc<double> we, op2::Acc<double> a, op2::Acc<double> b) {
-          a[0] += 0.125 * we[0];
-          b[0] += 0.125 * we[0];
-        },
-        op2::arg(w, Access::kRead), op2::arg(x, e2n, 0, Access::kInc),
-        op2::arg(x, e2n, 1, Access::kInc));
-  }
-  ctx.flush();
-  if (stats != nullptr) *stats = ctx.chain_stats();
-  return x.to_vector();
-}
 
 Op2TilingProbe probe_op2_tiling() {
   constexpr int kIters = 5;
@@ -633,34 +581,28 @@ Op2TilingProbe probe_op2_tiling() {
   airfoil::Airfoil tiled(opts);
   tiled.ctx().set_lazy(true);
   t0 = apl::now_seconds();
-  tiled.run(kIters);
+  const double tiled_rms = tiled.run(kIters);
   tiled.ctx().flush();
   p.tiled_seconds = apl::now_seconds() - t0;
   p.chain = tiled.ctx().chain_stats();
   p.bitwise_identical = bits_equal(ref, tiled.solution());
 
-  // Threaded gates, on a 2-member team (meaningful round structure even
-  // on a 1-core host). Airfoil's reduction chains must take the serial
-  // fallback and still match bitwise; the reduction-free smoother must go
-  // through real color rounds and match its own serial run bitwise.
+  // Threaded gate, on a 2-member team (meaningful round structure even
+  // on a 1-core host): Airfoil's own reduction chains must go through
+  // real color rounds, q must match eager bitwise, and rms — per-tile
+  // partials folded in tile order — the serial tiled walk bitwise.
   apl::ThreadPool team(2);
   airfoil::Airfoil threaded(opts);
   threaded.ctx().set_tile_team(&team);
   threaded.ctx().set_lazy(true);
   t0 = apl::now_seconds();
-  threaded.run(kIters);
+  const double threaded_rms = threaded.run(kIters);
   threaded.ctx().flush();
   p.threaded_seconds = apl::now_seconds() - t0;
-  const bool airfoil_bitwise = bits_equal(ref, threaded.solution());
-
-  op2::ChainStats smoother_team_stats;
-  const std::vector<double> smoother_serial = run_round_smoother(nullptr,
-                                                                 nullptr);
-  const std::vector<double> smoother_teamed =
-      run_round_smoother(&team, &smoother_team_stats);
-  p.rounds = smoother_team_stats.rounds;
+  p.rounds = threaded.ctx().chain_stats().rounds;
   p.threaded_bitwise =
-      airfoil_bitwise && bits_equal(smoother_serial, smoother_teamed);
+      bits_equal(ref, threaded.solution()) &&
+      std::memcmp(&tiled_rms, &threaded_rms, sizeof tiled_rms) == 0;
   return p;
 }
 

@@ -77,9 +77,10 @@ OPAL_TRACE="$build/tier1.trace.json" ctest --test-dir "$build" -L tier1 \
 # the sparse-tiling inspector/executor (DESIGN.md §15). The gate demands
 # every chain fused (zero verbatim fallbacks), a projected traffic
 # saving, and bitwise-identical solutions — order-preserving tiling must
-# be invisible to the bits. The probe also reruns the schedules through
-# the threaded color-round executor on a 2-member team and demands real
-# rounds plus bitwise agreement there too.
+# be invisible to the bits. The probe also reruns Airfoil through the
+# threaded color-round executor on a 2-member team and demands that its
+# own reduction chains run real rounds, q bitwise equal to eager and rms
+# bitwise equal to the serial tiled walk (per-tile reduction partials).
 "$build/tools/bench_report" --check-op2-tiling
 
 # Benchmark stage: perfbench's own test builds the benchmark binary and
@@ -97,6 +98,12 @@ CARGO_TARGET_DIR="$build/perfbench" python3 "$repo/perfbench/test_perfbench.py"
 (cd "$build" && "$build/tools/bench_report" --out BENCH_ci.json > /dev/null)
 
 if [[ -n "${CI_SANITIZE:-}" ]]; then
+  # A parked lazy reduction outlives the par_loop whose caller owns its
+  # target; ASan sees a write into that dead frame only when stack frames
+  # of returned functions are kept poisoned.
+  if [[ "$CI_SANITIZE" == "address" ]]; then
+    export ASAN_OPTIONS="${ASAN_OPTIONS:+$ASAN_OPTIONS:}detect_stack_use_after_return=1"
+  fi
   san_build="$build-$CI_SANITIZE"
   cmake -S "$repo" -B "$san_build" -DAPL_WERROR=ON \
         -DAPL_SANITIZE="$CI_SANITIZE"
@@ -110,10 +117,10 @@ if [[ -n "${CI_SANITIZE:-}" ]]; then
   # And so must the serve soak: watchdog vs worker vs submitter is exactly
   # the kind of race ThreadSanitizer exists to catch.
   "$san_build/examples/opal_serve" 2 3 > /dev/null
-  # The op2 tiling gate reruns under the sanitizer too (the ISSUE's
-  # APL_SANITIZE=thread configuration when CI_SANITIZE=thread): the fused
-  # executor — now including the threaded color-round path — and its
-  # cancel checks must be clean, not just bitwise.
+  # The op2 tiling gate reruns under the sanitizer too (APL_SANITIZE=thread
+  # when CI_SANITIZE=thread): the fused executor — including Airfoil's
+  # reduction chains on the color-round path, each tile writing its own
+  # partials — and its cancel checks must be clean, not just bitwise.
   "$san_build/tools/bench_report" --check-op2-tiling
   # Negative control, thread sanitizer only: the planted color-merge
   # mutation puts two conflicting tiles in one round. Run the merged
