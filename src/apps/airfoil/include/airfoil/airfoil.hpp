@@ -49,7 +49,6 @@ public:
   op2::Context& ctx() { return ctx_; }
   const Mesh& mesh() const { return mesh_; }
   op2::Dat<double>& q() { return *q_; }
-  op2::Dat<double>& x_coords() { return *x_; }
   op2::Map& edge2cell_map() { return *edge2cell_; }
   op2::Set& cells() { return *cells_; }
   op2::Set& edges() { return *edges_; }

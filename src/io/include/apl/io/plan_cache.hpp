@@ -133,7 +133,8 @@ class SectionReader {
 
 // --- the store -------------------------------------------------------------
 
-/// Hit/miss accounting, exposed for tests and bench_report.
+/// Hit/miss accounting, exposed for tests and bench_report
+/// --check-plan-cache.
 struct Stats {
   std::uint64_t hits = 0;     ///< load() returned a payload
   std::uint64_t misses = 0;   ///< no entry on disk

@@ -317,10 +317,6 @@ void Distributed::set_tile_size(index_t elems) {
   for (auto& rc : rank_ctx_) rc->set_tile_size(elems);
 }
 
-void Distributed::flush_all() {
-  for (auto& rc : rank_ctx_) rc->flush();
-}
-
 index_t Distributed::owned_count(const Set& s, int rank) const {
   return static_cast<index_t>(set_dist_[s.id()].owned[rank].size());
 }

@@ -74,8 +74,6 @@ public:
   void set_lazy(bool on);
   void set_tiling(bool on);
   void set_tile_size(index_t elems);
-  /// Explicit flush point: drains every rank's queued chain.
-  void flush_all();
 
   index_t owned_count(const Set& global_set, int rank) const;
   index_t ghost_count(const Set& global_set, int rank) const;

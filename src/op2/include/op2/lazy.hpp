@@ -93,8 +93,8 @@ struct LoopRecord {
 };
 
 /// Lazy-engine statistics (apl/chain.hpp), exposed through
-/// Context::chain_stats() and reported by bench_report's op2-tiling
-/// columns.
+/// Context::chain_stats(), gated by bench_report --check-op2-tiling and
+/// reported per iteration by perfbench.
 using ChainStats = apl::chain::Stats;
 
 /// Compiled execution schedule of one flushed chain — the inspector's

@@ -18,12 +18,6 @@
 
 namespace apl::perf {
 
-/// Memory-access pattern classes a parallel loop's traffic divides into.
-/// The paper's Table I discussion maps onto exactly these: direct loops run
-/// near peak bandwidth, indirect reads pay a gather penalty, and colored
-/// indirect updates pay a scatter penalty that grows with vector width.
-enum class AccessClass { kDirect, kGather, kScatter };
-
 /// One processor (node-level) description.
 struct Machine {
   std::string name;

@@ -174,7 +174,8 @@ public:
   /// Cumulative seconds spent acquiring execution plans — inspector runs,
   /// chain analysis, and plan-cache encode/decode alike. The cold-vs-warm
   /// delta of this counter is the amortization the plan cache buys
-  /// (tools/bench_report reports it per app).
+  /// (bench_report --check-plan-cache gates it per app; perfbench reports
+  /// it as op2.plan_s / ops.plan_s).
   double plan_seconds() const { return plan_seconds_; }
   void add_plan_seconds(double s) { plan_seconds_ += s; }
 

@@ -149,7 +149,6 @@ class Injector {
     if (cfg_.kill_at_loop == ordinal) kill_loop(ordinal);
     if (cfg_.hang_at_loop == ordinal) hang_loop(ordinal);
   }
-  std::int64_t loops_seen() const { return loops_; }
 
   /// Called by mpisim at the start of each halo exchange; returns the rank
   /// to fail at this exchange, if any (the comm layer marks it dead).
@@ -160,7 +159,6 @@ class Injector {
   /// in send order. Each trigger is one-shot, like every other trigger.
   enum class SendFault { kNone, kDrop, kDuplicate, kCorrupt };
   SendFault on_send();
-  std::int64_t sends_seen() const { return sends_; }
 
   // Checkpoint-write triggers: the store reads them at the start of a save
   // and calls the consume_* methods once the fault has been applied, so

@@ -20,9 +20,9 @@ namespace apl {
 double now_seconds();
 
 /// Accumulated statistics for one named parallel loop. Byte counts are
-/// split by access-pattern class (see apl::perf::AccessClass): direct
-/// streaming, indirect gathers (reads through a map) and indirect scatters
-/// (writes/increments through a map) — the split the paper's Table I
+/// split by access pattern into bytes_direct (streaming), bytes_gather
+/// (indirect reads through a map) and bytes_scatter (indirect
+/// writes/increments through a map) — the split the paper's Table I
 /// analysis rests on.
 struct LoopStats {
   std::uint64_t calls = 0;
@@ -45,8 +45,8 @@ struct LoopStats {
   /// SIMT simulation is meaningless for bandwidth, so whenever a device
   /// model contributed, model time wins. Pure host backends leave
   /// model_seconds at zero and report wall time. One rule everywhere —
-  /// report(), to_json() and the bench tables all divide by this, so a
-  /// table can never silently mix timebases across its rows.
+  /// report() and the bench tables all divide by this, so a table can
+  /// never silently mix timebases across its rows.
   double effective_seconds() const {
     return model_seconds > 0 ? model_seconds : seconds;
   }
@@ -96,11 +96,6 @@ public:
   /// time came from a device model are flagged with '*'. Safe on an empty
   /// profile and on zero-call / zero-time rows.
   std::string report() const;
-
-  /// Machine-readable export: every LoopStats field per loop, including
-  /// the distributed-path counters (halo_bytes) and model_seconds that the
-  /// text table abbreviates. Consumed by tools/bench_report.
-  std::string to_json() const;
 
   static Profile& global();
 

@@ -22,8 +22,8 @@
 //
 // Backoff is *simulated*: the runtime records the delay it would have
 // slept in the Traffic ledger instead of actually sleeping, which keeps
-// kill-sweep tests fast while still letting bench_report account for
-// recovery cost deterministically.
+// kill-sweep tests fast while the ledger still accounts for recovery cost
+// deterministically.
 #pragma once
 
 #include <cstdint>

@@ -68,7 +68,6 @@ class Recorder {
   }
 
   /// Path written at process exit (empty: no auto-export).
-  void set_export_path(std::string path);
   std::string export_path() const;
 
   void record(Event e);
@@ -137,9 +136,6 @@ class Span {
 
   void set_bytes(std::uint64_t b) {
     if (on_) ev_.bytes = b;
-  }
-  void add_bytes(std::uint64_t b) {
-    if (on_) ev_.bytes += b;
   }
   void set_elements(std::uint64_t n) {
     if (on_) ev_.elements = n;

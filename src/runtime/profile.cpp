@@ -50,29 +50,6 @@ std::string Profile::report() const {
   return os.str();
 }
 
-std::string Profile::to_json() const {
-  std::ostringstream os;
-  os << "{\n  \"loops\": [";
-  bool first = true;
-  for (const auto& [name, s] : stats_) {
-    if (!first) os << ",";
-    first = false;
-    os << "\n    {\"name\": \"" << name << "\", \"calls\": " << s.calls
-       << ", \"seconds\": " << std::setprecision(9) << s.seconds
-       << ", \"model_seconds\": " << s.model_seconds
-       << ", \"effective_seconds\": " << s.effective_seconds()
-       << ", \"bytes_direct\": " << s.bytes_direct
-       << ", \"bytes_gather\": " << s.bytes_gather
-       << ", \"bytes_scatter\": " << s.bytes_scatter
-       << ", \"halo_bytes\": " << s.halo_bytes
-       << ", \"flops\": " << s.flops << ", \"elements\": " << s.elements
-       << ", \"colors\": " << s.colors
-       << ", \"gb_per_s\": " << s.gb_per_s() << "}";
-  }
-  os << "\n  ]\n}\n";
-  return os.str();
-}
-
 Profile& Profile::global() {
   static Profile p;
   return p;

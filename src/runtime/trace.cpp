@@ -67,11 +67,6 @@ Recorder& Recorder::global() {
   return *r;
 }
 
-void Recorder::set_export_path(std::string path) {
-  std::lock_guard<std::mutex> lock(mu_);
-  path_ = std::move(path);
-}
-
 std::string Recorder::export_path() const {
   std::lock_guard<std::mutex> lock(mu_);
   return path_;

@@ -1,19 +1,15 @@
-// bench_report: the perf-trajectory emitter behind BENCH_*.json.
+// bench_report: the CI correctness gates. Each mode runs one probe,
+// prints its table, and exits 0 when the probe's ok() predicate holds,
+// 1 when it does not. Timings in the tables are short cold runs, printed
+// for context only; host speed is measured by perfbench/.
 //
-// Runs the two tier-1 proxy apps (Airfoil on op2, lazy through the
-// sparse-tiling engine; CloverLeaf on ops, both eager and lazy-tiled),
-// collects every loop's Profile record
-// (seconds, GB/s, bytes by access class, halo bytes, color/tile counts)
-// and the roofline join against a machine model, and writes one JSON
-// document per run plus the combined report.
-//
-//   bench_report [--out FILE] [--airfoil-iters N] [--clover-steps N]
-//                [--machine NAME]
 //   bench_report --check-trace FILE     # validate a Chrome trace dump
 //   bench_report --check-plan-cache     # cold->warm plan cache gate
 //   bench_report --check-resilience    # kill + transient recovery gate
 //   bench_report --check-serve         # multi-tenant service soak gate
 //   bench_report --check-op2-tiling    # eager vs lazy-tiled Airfoil gate
+//
+// Anything else (no arguments, an unknown flag) prints usage and exits 2.
 //
 // --check-trace reuses apl::trace::validate_chrome_json, so the ci.sh
 // trace stage exercises exactly the schema the tests assert.
@@ -25,13 +21,13 @@
 // message fault (absorbed by retry) and one rank kill (answered by a
 // communicator shrink), and fails unless the continuation is bitwise
 // identical to a failure-free run at the surviving rank count restored
-// from the same checkpoint. The report carries the recovery-overhead and
+// from the same checkpoint. The table carries the recovery-overhead and
 // MTTR columns either way.
 // --check-serve runs a tenant mix (all three proxy apps plus a crash, a
 // hang and a rank-death tenant) through one apl::serve server and fails
 // unless the healthy tenants reproduce their solo digests bitwise, the
 // crash is retried, the hang is stopped by the watchdog, and nothing
-// else fails. The report carries throughput, latency and
+// else fails. The table carries throughput, latency and
 // isolation-overhead columns either way.
 // --check-op2-tiling runs the same Airfoil mesh eager and lazy-tiled
 // (op2 sparse tiling, DESIGN.md §15) and fails unless every chain fused
@@ -39,8 +35,7 @@
 // the tiled solution matches the eager one bitwise. It then reruns
 // Airfoil through the threaded color-round executor on a 2-member team
 // and fails unless its reduction chains ran real rounds, q stayed
-// bitwise equal to eager and rms to the serial tiled walk. The report's
-// "airfoil" run executes lazy-tiled and carries the fused-chain columns.
+// bitwise equal to eager and rms to the serial tiled walk.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -48,20 +43,16 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "airfoil/airfoil.hpp"
-#include "apl/chain.hpp"
 #include "apl/exec.hpp"
 #include "apl/fault.hpp"
 #include "apl/io/ckpt.hpp"
 #include "apl/io/plan_cache.hpp"
 #include "op2/dist.hpp"
-#include "apl/perf/machines.hpp"
-#include "apl/perf/report.hpp"
 #include "apl/profile.hpp"
 #include "apl/serve/serve.hpp"
 #include "apl/thread_pool.hpp"
@@ -72,11 +63,7 @@
 namespace {
 
 struct Args {
-  std::string out = "BENCH_pr10.json";
   std::string check_trace;
-  std::string machine = "e5-2697v2";
-  int airfoil_iters = 40;
-  int clover_steps = 20;
   bool check_plan_cache = false;
   bool check_resilience = false;
   bool check_serve = false;
@@ -85,48 +72,13 @@ struct Args {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--out FILE] [--airfoil-iters N] "
-               "[--clover-steps N] [--machine NAME]\n"
-               "       %s --check-trace FILE\n"
+               "usage: %s --check-trace FILE\n"
                "       %s --check-plan-cache\n"
                "       %s --check-resilience\n"
                "       %s --check-serve\n"
                "       %s --check-op2-tiling\n",
-               argv0, argv0, argv0, argv0, argv0, argv0);
+               argv0, argv0, argv0, argv0, argv0);
   return 2;
-}
-
-/// One run's record: the full Profile dump, the roofline join, and any
-/// chain/tile statistics. `extra` is preformatted JSON members ("" or
-/// ", \"k\": v...").
-std::string run_json(const std::string& name, const apl::Profile& prof,
-                     const apl::perf::Machine& machine,
-                     const std::string& extra) {
-  std::ostringstream os;
-  os << "  {\"run\": \"" << name << "\",\n   \"profile\": " << prof.to_json()
-     << ",\n   \"roofline\": " << apl::perf::roofline_json(prof, machine)
-     << extra << "}";
-  return os.str();
-}
-
-/// The chain/tile statistics as JSON members. op2 runs also report
-/// `verbatim` (unfused fallback replays, which the tiling gate requires to
-/// be zero); OPS chains have no such fallback and omit the key.
-std::string chain_members(const apl::chain::Stats& cs, bool with_verbatim) {
-  std::ostringstream os;
-  os << "\"flushes\": " << cs.flushes << ", \"loops\": " << cs.loops
-     << ", \"tiles\": " << cs.tiles;
-  if (with_verbatim) os << ", \"verbatim\": " << cs.verbatim;
-  os << ", \"max_chain\": " << cs.max_chain
-     << ", \"eager_bytes\": " << cs.eager_bytes
-     << ", \"tiled_bytes\": " << cs.tiled_bytes
-     << ", \"traffic_saved_fraction\": " << cs.traffic_saved_fraction();
-  return os.str();
-}
-
-/// One lazy run's chain/tile statistics, as a run_json `extra`.
-std::string chain_extra(const apl::chain::Stats& cs, bool with_verbatim) {
-  return ",\n   \"chain\": {" + chain_members(cs, with_verbatim) + "}";
 }
 
 // ---- plan cache: cold vs warm plan-analysis time ---------------------------
@@ -203,11 +155,11 @@ CacheProbe probe_plan_cache(const std::string& tag, RunFn run) {
   return p;
 }
 
-// The probe meshes are larger than the bench runs': plan analysis scales
-// with topology (coloring is O(edges), the tile dry-pass O(tiles)), while
-// the warm path's hash+load+decode floor is near-constant, so a small
-// mesh under-reports the warm win. Iteration counts stay minimal — plans
-// are built once regardless.
+// The probe meshes are larger than the apps' defaults: plan analysis
+// scales with topology (coloring is O(edges), the tile dry-pass O(tiles)),
+// while the warm path's hash+load+decode floor is near-constant, so a
+// small mesh under-reports the warm win. Iteration counts stay minimal —
+// plans are built once regardless.
 CacheProbe probe_airfoil() {
   return probe_plan_cache("airfoil", [&](std::vector<double>& bits,
                                          double& plan_s) {
@@ -242,17 +194,15 @@ CacheProbe probe_clover_lazy() {
 /// One faulted distributed Airfoil run: a transient message fault early on
 /// (absorbed by the policy's bounded retry) and a rank kill mid-run
 /// (answered by a communicator shrink + checkpoint restore). The ledger's
-/// recovery accounting becomes the report's overhead/MTTR columns.
+/// recovery accounting becomes the table's overhead/MTTR columns.
 struct ResilienceProbe {
   double run_seconds = 0.0;       // faulted run, end to end
   double recovery_seconds = 0.0;  // time inside recovery (MTTR numerator)
   double mttr = 0.0;
-  double retry_backoff_seconds = 0.0;
   double overhead_fraction = 0.0;  // recovery share of the faulted run
   std::uint64_t retries = 0;
   std::uint64_t shrinks = 0;
   std::uint64_t recoveries = 0;
-  std::uint64_t recovery_bytes = 0;
   int ranks_before = 0;
   int ranks_after = 0;
   bool bitwise_identical = false;
@@ -304,11 +254,9 @@ ResilienceProbe probe_resilience() {
   const auto& t = dist.comm().traffic();
   p.recovery_seconds = t.recovery_seconds();
   p.mttr = t.mttr();
-  p.retry_backoff_seconds = t.retry_backoff_seconds();
   p.retries = t.retries();
   p.shrinks = t.shrinks();
   p.recoveries = t.recoveries();
-  p.recovery_bytes = t.recovery_bytes();
   p.ranks_after = dist.num_ranks();
   p.overhead_fraction =
       p.run_seconds > 0.0 ? p.recovery_seconds / p.run_seconds : 0.0;
@@ -324,24 +272,6 @@ ResilienceProbe probe_resilience() {
   }
   store.remove_files();
   return p;
-}
-
-std::string resilience_json(const ResilienceProbe& p) {
-  std::ostringstream os;
-  os << "  {\"run\": \"airfoil_dist_faulted\""
-     << ", \"run_seconds\": " << p.run_seconds
-     << ", \"recovery_seconds\": " << p.recovery_seconds
-     << ", \"recovery_overhead\": " << p.overhead_fraction
-     << ", \"mttr_seconds\": " << p.mttr
-     << ", \"retry_backoff_seconds\": " << p.retry_backoff_seconds
-     << ", \"retries\": " << p.retries << ", \"shrinks\": " << p.shrinks
-     << ", \"recoveries\": " << p.recoveries
-     << ", \"recovery_bytes\": " << p.recovery_bytes
-     << ", \"ranks_before\": " << p.ranks_before
-     << ", \"ranks_after\": " << p.ranks_after
-     << ", \"bitwise_identical\": " << (p.bitwise_identical ? "true" : "false")
-     << "}";
-  return os.str();
 }
 
 void print_resilience(const ResilienceProbe& p) {
@@ -503,23 +433,6 @@ ServeProbe probe_serve() {
   return p;
 }
 
-std::string serve_json(const ServeProbe& p) {
-  std::ostringstream os;
-  os << "  {\"run\": \"serve_soak\""
-     << ", \"jobs\": " << p.jobs << ", \"completed\": " << p.completed
-     << ", \"failed\": " << p.failed << ", \"cancelled\": " << p.cancelled
-     << ", \"retries\": " << p.retries
-     << ", \"watchdog_kills\": " << p.watchdog_kills
-     << ", \"makespan_seconds\": " << p.makespan_seconds
-     << ", \"throughput_jobs_per_second\": " << p.throughput_jobs_per_second
-     << ", \"mean_latency_seconds\": " << p.mean_latency_seconds
-     << ", \"max_latency_seconds\": " << p.max_latency_seconds
-     << ", \"isolation_overhead\": " << p.isolation_overhead
-     << ", \"digests_match\": " << (p.digests_match ? "true" : "false")
-     << ", \"hang_stopped\": " << (p.hang_stopped ? "true" : "false") << "}";
-  return os.str();
-}
-
 void print_serve(const ServeProbe& p) {
   std::printf(
       "serve            %d tenants: %llu done / %llu failed / %llu "
@@ -606,20 +519,6 @@ Op2TilingProbe probe_op2_tiling() {
   return p;
 }
 
-std::string op2_tiling_json(const Op2TilingProbe& p) {
-  std::ostringstream os;
-  os << "  {\"run\": \"airfoil_tiling_gate\""
-     << ", \"eager_seconds\": " << p.eager_seconds
-     << ", \"tiled_seconds\": " << p.tiled_seconds
-     << ", \"speedup\": " << p.speedup() << ", "
-     << chain_members(p.chain, /*with_verbatim=*/true)
-     << ", \"bitwise_identical\": " << (p.bitwise_identical ? "true" : "false")
-     << ", \"threaded_seconds\": " << p.threaded_seconds
-     << ", \"color_rounds\": " << p.rounds << ", \"threaded_bitwise\": "
-     << (p.threaded_bitwise ? "true" : "false") << "}";
-  return os.str();
-}
-
 void print_op2_tiling(const Op2TilingProbe& p) {
   std::printf(
       "op2 tiling       eager %.6fs -> tiled %.6fs (%.2fx), %llu chains "
@@ -637,20 +536,6 @@ void print_op2_tiling(const Op2TilingProbe& p) {
       "bitwise %s\n",
       p.threaded_seconds, static_cast<unsigned long long>(p.rounds),
       p.threaded_bitwise ? "identical" : "DIVERGED");
-}
-
-std::string probe_json(const std::string& name, const CacheProbe& p) {
-  std::ostringstream os;
-  os << "  {\"run\": \"" << name
-     << "\", \"cold_plan_seconds\": " << p.cold_plan_seconds
-     << ", \"warm_plan_seconds\": " << p.warm_plan_seconds
-     << ", \"speedup\": " << p.speedup()
-     << ", \"cold_stores\": " << p.cold_stores
-     << ", \"warm_hits\": " << p.warm_hits
-     << ", \"warm_misses\": " << p.warm_misses
-     << ", \"warm_corrupt\": " << p.warm_corrupt << ", \"bitwise_identical\": "
-     << (p.bitwise_identical ? "true" : "false") << "}";
-  return os.str();
 }
 
 void print_probe(const std::string& name, const CacheProbe& p) {
@@ -675,19 +560,8 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) std::exit(usage(argv[0]));
       dst = argv[++i];
     };
-    std::string v;
-    if (a == "--out") {
-      next(args.out);
-    } else if (a == "--check-trace") {
+    if (a == "--check-trace") {
       next(args.check_trace);
-    } else if (a == "--machine") {
-      next(args.machine);
-    } else if (a == "--airfoil-iters") {
-      next(v);
-      args.airfoil_iters = std::atoi(v.c_str());
-    } else if (a == "--clover-steps") {
-      next(v);
-      args.clover_steps = std::atoi(v.c_str());
     } else if (a == "--check-plan-cache") {
       args.check_plan_cache = true;
     } else if (a == "--check-resilience") {
@@ -770,104 +644,5 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const apl::perf::Machine machine = apl::perf::machine(args.machine);
-  std::vector<std::string> runs;
-
-  {  // Airfoil, op2 path, lazy + sparse-tiled: each iteration's loops
-     // queue and flush through the fused-tile executor (DESIGN.md §15).
-     // The mesh is sized so a fused chain's working set overflows the
-     // tile cache budget and auto sizing produces several tiles per
-     // chain. BENCH_pr8.json keeps the eager trajectory point this run
-     // is measured against; --check-op2-tiling holds the bitwise gate.
-     // Per-loop wall clock at these sizes swings ~2x with scheduler
-     // noise, so the recorded profile is the best of three runs (the
-     // same policy the plan-cache probe applies to its timings).
-    airfoil::Airfoil::Options opts;
-    opts.nx = 120;
-    opts.ny = 60;
-    const auto loop_seconds = [](const apl::Profile& p) {
-      double s = 0.0;
-      for (const auto& [name, st] : p.all()) s += st.seconds;
-      return s;
-    };
-    std::unique_ptr<airfoil::Airfoil> best;
-    for (int r = 0; r < 3; ++r) {
-      auto app = std::make_unique<airfoil::Airfoil>(opts);
-      app->ctx().set_lazy(true);
-      app->run(args.airfoil_iters);
-      app->ctx().flush();
-      if (!best || loop_seconds(app->ctx().profile()) <
-                       loop_seconds(best->ctx().profile())) {
-        best = std::move(app);
-      }
-    }
-    runs.push_back(run_json(
-        "airfoil", best->ctx().profile(), machine,
-        chain_extra(best->ctx().chain_stats(), /*with_verbatim=*/true)));
-    std::fputs(best->ctx().profile().report().c_str(), stdout);
-    std::fputs(
-        apl::perf::roofline_table(best->ctx().profile(), machine).c_str(),
-        stdout);
-  }
-
-  {  // CloverLeaf eager: the attribution baseline for the lazy run.
-    cloverleaf::CloverOps app;
-    app.run(args.clover_steps);
-    runs.push_back(
-        run_json("cloverleaf_eager", app.ctx().profile(), machine, ""));
-  }
-
-  {  // CloverLeaf lazy + tiled: same loops, chain/tile stats alongside.
-    cloverleaf::Options opts;
-    opts.lazy = true;
-    cloverleaf::CloverOps app(opts);
-    app.run(args.clover_steps);
-    app.ctx().flush();
-    runs.push_back(run_json(
-        "cloverleaf_lazy", app.ctx().profile(), machine,
-        chain_extra(app.ctx().chain_stats(), /*with_verbatim=*/false)));
-    std::fputs(app.ctx().profile().report().c_str(), stdout);
-  }
-
-  // Plan-cache trajectory: cold vs warm plan-analysis seconds per family.
-  const CacheProbe air_probe = probe_airfoil();
-  const CacheProbe clv_probe = probe_clover_lazy();
-  print_probe("airfoil", air_probe);
-  print_probe("cloverleaf_lazy", clv_probe);
-
-  // Resilience trajectory: recovery overhead and MTTR of a faulted run.
-  const ResilienceProbe res_probe = probe_resilience();
-  print_resilience(res_probe);
-
-  // Service trajectory: multi-tenant throughput/latency + isolation cost.
-  const ServeProbe srv_probe = probe_serve();
-  print_serve(srv_probe);
-
-  // Tiling trajectory: eager vs lazy-tiled Airfoil on the same mesh.
-  const Op2TilingProbe tile_probe = probe_op2_tiling();
-  print_op2_tiling(tile_probe);
-
-  std::ostringstream os;
-  os << "{\"bench\": \"pr10\", \"machine\": \"" << machine.name
-     << "\",\n \"airfoil_iters\": " << args.airfoil_iters
-     << ", \"clover_steps\": " << args.clover_steps << ",\n \"runs\": [\n";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    os << runs[i] << (i + 1 < runs.size() ? ",\n" : "\n");
-  }
-  os << "],\n \"plan_cache\": [\n"
-     << probe_json("airfoil", air_probe) << ",\n"
-     << probe_json("cloverleaf_lazy", clv_probe) << "\n],\n \"resilience\": [\n"
-     << resilience_json(res_probe) << "\n],\n \"serve\": [\n"
-     << serve_json(srv_probe) << "\n],\n \"op2_tiling\": [\n"
-     << op2_tiling_json(tile_probe) << "\n]}\n";
-
-  std::ofstream out(args.out);
-  if (!out) {
-    std::fprintf(stderr, "bench_report: cannot write '%s'\n",
-                 args.out.c_str());
-    return 1;
-  }
-  out << os.str();
-  std::printf("wrote %s\n", args.out.c_str());
-  return 0;
+  return usage(argv[0]);
 }
