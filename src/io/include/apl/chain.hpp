@@ -9,14 +9,15 @@
 // families, the queue, the exception-safe flush guard, the Stats, the
 // memoized schedule lookup, the walk over a schedule's steps with a
 // cancel check at every boundary, the parked Resume of an interrupted
-// walk, profile accounting deferred to chain completion, and the
-// freeze/thaw of globals (a reduction commits only when its chain
-// completes inside the par_loop that owns the target). A family keeps its
-// inspector, Plan IR codec and audit, and supplies (privately, befriending
-// the engine) kChainNames, plan_chain, begin_chain, chain_steps and
-// account_chain — see Engine. chain_steps returns the step sequence of
-// one walk: size() and run(step, stats), dispatched through the family's
-// step table.
+// walk, profile accounting deferred to chain completion, and when a
+// reduction commits (only once its chain completes inside the par_loop
+// that owns the target; the partials themselves are apl::exec's
+// freeze/split/thaw/commit, shared with every other parallel schedule).
+// A family keeps its inspector, Plan IR codec and audit, and supplies
+// (privately, befriending the engine) kChainNames, plan_chain,
+// begin_chain, chain_steps and account_chain — see Engine. chain_steps
+// returns the step sequence of one walk: size() and run(step, stats),
+// dispatched through the family's step table.
 //
 // The cancel rule, the same for both families: a flush whose token is
 // already cancelled or preempted throws before touching the queue or a
@@ -30,7 +31,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -103,88 +103,6 @@ struct Names {
   const char* tile_point;   ///< checked between tiles / records
   const char* round_point;  ///< checked between color rounds
 };
-
-// ---- freeze / thaw: queued loops run after par_loop returns, and a global
-// may point into the caller's stack, so no queued loop touches the
-// caller's global while the chain runs. freeze() snapshots every global at
-// enqueue time: a kRead global reads its snapshot, and a reduction
-// accumulates into its own, which commit() stores in the caller's target
-// once the chain has completed (Engine::enqueue says when). A fused walk
-// gives each tile identity-initialised partials instead (split), which
-// commit() first folds into the snapshot in ascending tile order — so the
-// result does not depend on which team member ran which tile.
-
-template <class Arg>
-concept GlobalArg = requires(const Arg& a) {
-  a.data;
-  a.dim;
-  a.acc;
-};
-
-template <GlobalArg Gbl>
-struct GblSnapshot {
-  using T = std::remove_cvref_t<decltype(*std::declval<Gbl>().data)>;
-  Gbl g;  ///< as the caller passed it: `data` is the target
-  std::vector<T> snap;
-  std::vector<T> partials;  ///< reductions on a fused walk: `dim` per tile
-
-  bool reduces() const { return g.acc != exec::Access::kRead; }
-};
-
-template <class Arg>
-auto freeze(const Arg& a) {
-  if constexpr (GlobalArg<Arg>) {
-    GblSnapshot<Arg> s{a, {}, {}};
-    if (a.data != nullptr) s.snap.assign(a.data, a.data + a.dim);
-    return s;
-  } else {
-    return a;
-  }
-}
-
-/// The argument a queued loop runs on; `tile` names the fused-walk tile
-/// (0 for a whole-loop replay). A global is a fresh copy pointing at its
-/// snapshot or at the tile's partials, so concurrent tiles share no
-/// mutable state and the caller's target is never written.
-template <class Arg>
-Arg& thaw(Arg& a, std::size_t /*tile*/ = 0) {
-  return a;
-}
-template <class Gbl>
-Gbl thaw(GblSnapshot<Gbl>& s, std::size_t tile = 0) {
-  Gbl g = s.g;
-  if (!s.partials.empty()) {
-    g.data = s.partials.data() + tile * static_cast<std::size_t>(g.dim);
-  } else if (!s.snap.empty()) {
-    g.data = s.snap.data();
-  }
-  return g;
-}
-
-/// Gives a reduction `tiles` blocks of identity-initialised partials
-/// before a fused walk starts; other arguments ignore it.
-template <class Arg>
-void split(Arg&, std::size_t) {}
-template <class Gbl>
-void split(GblSnapshot<Gbl>& s, std::size_t tiles) {
-  if (!s.reduces()) return;
-  s.partials.assign(
-      tiles * static_cast<std::size_t>(s.g.dim),
-      exec::reduction_identity<typename GblSnapshot<Gbl>::T>(s.g.acc));
-}
-
-/// Stores a completed reduction in the caller's target, folding any tile
-/// partials into the snapshot in ascending tile order first.
-template <class Arg>
-void commit(Arg&) {}
-template <class Gbl>
-void commit(GblSnapshot<Gbl>& s) {
-  if (!s.reduces()) return;
-  exec::fold_partials(s.g.acc, static_cast<std::size_t>(s.g.dim), s.partials,
-                      s.snap.data());
-  s.partials.clear();
-  std::copy(s.snap.begin(), s.snap.end(), s.g.data);
-}
 
 // ---- the engine ------------------------------------------------------------
 

@@ -245,33 +245,15 @@ void allreduce_into(Comm& comm, exec::Access acc,
   }
 }
 
-/// Per-rank partials of one global argument of a distributed loop (op2
-/// and ops): each rank runs on its own identity-initialised `dim`-wide
-/// row, and finish() allreduces the rows into the caller's data. A kRead
-/// global is shared by every rank as is.
+/// Finishes a distributed loop's global argument: a reduction split into
+/// one work unit per rank (apl::exec::split) allreduces its partials into
+/// the caller's target; every other argument ignores it.
+template <class Arg>
+void allreduce_commit(Comm&, Arg&) {}
 template <class Gbl>
-struct RankPartials {
-  using T = std::remove_pointer_t<decltype(Gbl::data)>;
-  Gbl* user;
-  std::vector<T> per_rank;
-
-  RankPartials(Gbl& g, int nranks) : user(&g) {
-    if (g.acc != exec::Access::kRead) {
-      per_rank.assign(static_cast<std::size_t>(nranks) * g.dim,
-                      exec::reduction_identity<T>(g.acc));
-    }
-  }
-  Gbl rank_arg(int r) {
-    Gbl out{user->data, user->dim, user->acc, {}};
-    if (!per_rank.empty()) {
-      out.data = per_rank.data() + static_cast<std::size_t>(r) * user->dim;
-    }
-    return out;
-  }
-  void finish(Comm& comm) {
-    if (user->acc == exec::Access::kRead) return;
-    allreduce_into(comm, user->acc, per_rank, user->dim, user->data);
-  }
-};
+void allreduce_commit(Comm& comm, exec::GblSnapshot<Gbl>& s) {
+  if (!s.reduces()) return;
+  allreduce_into(comm, s.g.acc, s.partials, s.g.dim, s.g.data);
+}
 
 }  // namespace apl::mpisim

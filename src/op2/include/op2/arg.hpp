@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "apl/error.hpp"
 #include "op2/acc.hpp"
@@ -52,8 +51,6 @@ struct ArgGbl {
   T* data;
   index_t dim;
   apl::exec::Access acc;
-  /// Per-thread partials for parallel reductions, managed by the backends.
-  std::vector<T> scratch;
 
   ArgInfo info() const {
     return ArgInfo{-1, -1, 0, acc, dim, sizeof(T), true};
@@ -85,7 +82,7 @@ ArgGbl<T> arg_gbl(T* data, index_t dim, apl::exec::Access acc) {
   apl::require(acc == apl::exec::Access::kRead || acc == apl::exec::Access::kInc ||
                    acc == apl::exec::Access::kMin || acc == apl::exec::Access::kMax,
                "arg_gbl: access must be read or a reduction");
-  return {data, dim, acc, {}};
+  return {data, dim, acc};
 }
 
 }  // namespace op2

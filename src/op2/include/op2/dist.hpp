@@ -17,8 +17,9 @@
 //     dirty-bit-driven messaging of the paper;
 //   * indirect increments accumulate into zeroed ghost slots and are
 //     flushed to the owners after the loop;
-//   * global reductions combine per-rank partials through the simulated
-//     communicator's allreduce.
+//   * a global reduction's work unit is the rank (apl::exec::split): the
+//     per-rank partials combine through the simulated communicator's
+//     allreduce (apl::mpisim::allreduce_commit).
 //
 // Each rank's loop goes through the ordinary op2::par_loop, so the
 // node-level backend composes underneath (rank contexts on apl::exec::Backend::kThreads
@@ -164,31 +165,10 @@ private:
     return ArgDat<T>{local, local_map, a.idx, a.acc};
   }
 
-  /// Per-rank private globals for reductions.
+  /// A rank's view of a global: the rank's work unit (apl::exec::thaw).
   template <class T>
-  apl::mpisim::RankPartials<ArgGbl<T>> make_dist_state(ArgGbl<T>& g) {
-    return {g, num_ranks()};
-  }
-  template <class T>
-  ArgDat<T>* make_dist_state(ArgDat<T>&) {
-    return nullptr;  // dats need no per-loop distributed state
-  }
-
-  // Pairs the user arg pack with the state tuple during expansion.
-  template <class T>
-  ArgDat<T> rank_arg_or_gbl(int r, ArgDat<T>& a, ArgDat<T>* /*state*/) {
-    return rank_arg(a, r);
-  }
-  template <class T>
-  ArgGbl<T> rank_arg_or_gbl(int r, ArgGbl<T>& /*g*/,
-                            apl::mpisim::RankPartials<ArgGbl<T>>& st) {
-    return st.rank_arg(r);
-  }
-  template <class T>
-  void finish_any(ArgDat<T>* /*state*/) {}
-  template <class T>
-  void finish_any(apl::mpisim::RankPartials<ArgGbl<T>>& st) {
-    st.finish(comm_);
+  ArgGbl<T> rank_arg(const ArgGbl<T>& g, int /*r*/) {
+    return g;
   }
 };
 
@@ -229,7 +209,10 @@ void Distributed::par_loop(const std::string& name, const Set& global_set,
     }
   }
 
-  auto states = std::make_tuple(make_dist_state(args)...);
+  // A reduction's work unit is the rank: its partials allreduce in rank
+  // order once every rank has run.
+  auto units = std::make_tuple(apl::exec::hold(args)...);
+  apl::exec::split_all(units, static_cast<std::size_t>(num_ranks()));
   {
     apl::ScopedLoopTimer timer(global_->profile(), name);
     for (int r = 0; r < num_ranks(); ++r) {
@@ -239,11 +222,13 @@ void Distributed::par_loop(const std::string& name, const Set& global_set,
       Context& rc = *rank_ctx_[r];
       const Set& rset = rc.set(global_set.id());
       std::apply(
-          [&](auto&... st) {
-            op2::par_loop(rc, name, rset, kernel,
-                          rank_arg_or_gbl(r, args, st)...);
+          [&](auto&... u) {
+            op2::par_loop(
+                rc, name, rset, kernel,
+                rank_arg(apl::exec::thaw(u, static_cast<std::size_t>(r)),
+                         r)...);
           },
-          states);
+          units);
     }
   }
   // Logical per-loop traffic (useful bytes) against the global mesh.
@@ -254,7 +239,9 @@ void Distributed::par_loop(const std::string& name, const Set& global_set,
 
   // Reductions and increment flushes. A dat may appear in several Inc args
   // (e.g. both endpoints of an edge); its ghost slots are flushed once.
-  std::apply([&](auto&... st) { (finish_any(st), ...); }, states);
+  std::apply(
+      [&](auto&... u) { (apl::mpisim::allreduce_commit(comm_, u), ...); },
+      units);
   std::vector<index_t> flushed;
   for (const ArgInfo& a : infos) {
     if (a.is_gbl) continue;

@@ -38,10 +38,11 @@
 // schedule is therefore a *reordering-free* re-schedule: sequential tiled
 // execution leaves every dat bitwise identical to eager sequential
 // execution, which is what the testkit differential matrix asserts. The
-// one value tiling reassociates is a global reduction: each tile
-// accumulates its own partials, folded in ascending tile order once the
-// chain completes, so the result is identical across the serial walk and
-// every team size and within a ULP bound of eager execution.
+// one value tiling reassociates is a global reduction: each tile is its
+// work unit (apl::exec::split) and accumulates its own partials, folded
+// in ascending tile order once the chain completes, so the result is
+// identical across the serial walk and every team size and within a ULP
+// bound of eager execution.
 //
 // Tile schedules compile into the Plan IR (section-framed payload, kind
 // "op2chain", versioned by op2::kPlanIrVersion) and persist in
@@ -76,10 +77,11 @@ class Context;
 /// schedules; slices of different tiles may run concurrently). For a loop
 /// with a global reduction, `split` gives each of a fused walk's tiles
 /// its own partials and `commit` stores the result in the caller's target
-/// (apl/chain.hpp); both are no-ops otherwise. `simd_pack_safe` is false
-/// when some dat is both read and written with an indirect side — packed
-/// execution could then pair conflicting elements a pack never pairs
-/// eagerly, so tiled slices fall back to ordered scalar execution.
+/// (apl::exec, when apl/chain.hpp says); both are no-ops otherwise.
+/// `simd_pack_safe` is false when some dat is both read and written with
+/// an indirect side — packed execution could then pair conflicting
+/// elements a pack never pairs eagerly, so tiled slices fall back to
+/// ordered scalar execution.
 struct LoopRecord {
   std::string name;
   const Set* set = nullptr;

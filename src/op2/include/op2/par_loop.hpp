@@ -12,7 +12,8 @@
 //                lanes, scatter results (increments applied serially).
 //   run_threads  the OpenMP structure: execute the two-level-colored plan,
 //                blocks of one color in parallel across the thread pool,
-//                with per-thread partials for global reductions.
+//                with per-block partials for global reductions, folded
+//                in block order (bitwise the same for every team size).
 //   run_cudasim  the CUDA structure: thread blocks stage indirect data
 //                through "shared memory", per-element increments commit in
 //                intra-block color order, and a warp-granular transaction
@@ -62,19 +63,6 @@ Acc<T> element_acc(const ArgDat<T>& a, index_t e) {
 template <class T>
 Acc<T> element_acc(ArgGbl<T>& g, index_t /*e*/) {
   return Acc<T>(g.data, 1);
-}
-
-// Thread-slot-aware variant for the threads backend.
-template <class T>
-Acc<T> element_acc_t(const ArgDat<T>& a, index_t e, std::size_t /*tid*/) {
-  return element_acc(a, e);
-}
-
-template <class T>
-Acc<T> element_acc_t(ArgGbl<T>& g, index_t /*e*/, std::size_t tid) {
-  T* p = g.scratch.empty() ? g.data
-                           : g.scratch.data() + tid * static_cast<std::size_t>(g.dim);
-  return Acc<T>(p, 1);
 }
 
 // ---- debug checks (paper Sec. II-C consistency mechanisms) --------------
@@ -198,8 +186,10 @@ template <class Kernel, class... Args>
 void run_threads(Context& ctx, const std::string& name, const Set& /*set*/,
                  const Plan& plan, Kernel&& k, Args&... args) {
   apl::ThreadPool& pool = apl::ThreadPool::global();
-  const std::size_t team = pool.size();
-  (apl::exec::prepare_gbl(args, team), ...);
+  // A reduction's work unit is the plan block: partials are folded in
+  // ascending block id, whichever member ran a block.
+  auto units = std::make_tuple(apl::exec::hold(args)...);
+  apl::exec::split_all(units, static_cast<std::size_t>(plan.num_blocks));
   index_t ncolors = plan.num_block_colors;
 #ifdef APL_MUTATE_OP2_SKIP_LAST_COLOR
   // Mutation hook for the testkit smoke tests: drop the last plan color,
@@ -219,19 +209,24 @@ void run_threads(Context& ctx, const std::string& name, const Set& /*set*/,
       }
       color_span.set_elements(in_color);
     }
-    pool.parallel_for(
-        blocks.size(),
-        [&](std::size_t b0, std::size_t b1, std::size_t tid) {
-          for (std::size_t bi = b0; bi < b1; ++bi) {
-            const index_t b = blocks[bi];
-            for (index_t e = plan.block_offset[b];
-                 e < plan.block_offset[b + 1]; ++e) {
-              k(element_acc_t(args, e, tid)...);
+    pool.parallel_for(blocks.size(), [&](std::size_t b0, std::size_t b1) {
+      std::apply(
+          [&](auto&... u) {
+            for (std::size_t bi = b0; bi < b1; ++bi) {
+              const index_t b = blocks[bi];
+              const auto run = [&](auto&&... as) {
+                for (index_t e = plan.block_offset[b];
+                     e < plan.block_offset[b + 1]; ++e) {
+                  k(element_acc(as, e)...);
+                }
+              };
+              run(apl::exec::thaw(u, static_cast<std::size_t>(b))...);
             }
-          }
-        });
+          },
+          units);
+    });
   }
-  (apl::exec::finish_gbl(args), ...);
+  apl::exec::commit_all(units);
   ctx.profile().stats(name).colors +=
       static_cast<std::uint64_t>(plan.num_block_colors);
 }
@@ -524,12 +519,12 @@ void par_loop(Context& ctx, const std::string& name, const Set& set,
       rec.n = set.core_size();
       rec.simd_pack_safe = detail::simd_pack_safe(infos);
       rec.infos = infos;
-      // Globals are snapshotted now (apl::chain::freeze): the caller may
+      // Globals are snapshotted now (apl::exec::freeze): the caller may
       // reuse a kRead variable before the flush, and a reduction's target
       // is written only by `commit`. Every executor shares the snapshots.
       auto frozen = std::make_shared<
-          std::tuple<decltype(apl::chain::freeze(args))...>>(
-          apl::chain::freeze(args)...);
+          std::tuple<decltype(apl::exec::freeze(args))...>>(
+          apl::exec::freeze(args)...);
       rec.run_full = [&ctx, name, sp = &set, kernel = kernel,
                       frozen]() mutable {
         std::apply(
@@ -567,7 +562,7 @@ void par_loop(Context& ctx, const std::string& name, const Set& set,
                 // lifetime rule.
                 ctx.profile().stats(name).seconds += apl::now_seconds() - t0;
               };
-              run(apl::chain::thaw(fz)...);
+              run(apl::exec::thaw(fz)...);
             },
             *frozen);
       };
@@ -595,21 +590,14 @@ void par_loop(Context& ctx, const std::string& name, const Set& set,
                 // would otherwise race on the map and lose increments.
                 ctx.profile().add_seconds(name, apl::now_seconds() - t0);
               };
-              run(apl::chain::thaw(fz, static_cast<std::size_t>(tile))...);
+              run(apl::exec::thaw(fz, static_cast<std::size_t>(tile))...);
             },
             *frozen);
       };
       rec.split = [frozen](index_t ntiles) {
-        std::apply(
-            [&](auto&... fz) {
-              (apl::chain::split(fz, static_cast<std::size_t>(ntiles)), ...);
-            },
-            *frozen);
+        apl::exec::split_all(*frozen, static_cast<std::size_t>(ntiles));
       };
-      rec.commit = [frozen] {
-        std::apply([](auto&... fz) { (apl::chain::commit(fz), ...); },
-                   *frozen);
-      };
+      rec.commit = [frozen] { apl::exec::commit_all(*frozen); };
       // A reduction record flushes the chain, itself included, right here,
       // and commits its result once that chain completes.
       ctx.enqueue(std::move(rec));

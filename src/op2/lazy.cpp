@@ -334,7 +334,7 @@ void run_round_step(const ChainSteps& s, std::size_t c,
   ++stats.rounds;
   if (s.ctx.tile_team_enabled()) {
     s.ctx.tile_team().parallel_for(
-        tiles.size(), [&](std::size_t lo, std::size_t hi, std::size_t) {
+        tiles.size(), [&](std::size_t lo, std::size_t hi) {
           for (std::size_t i = lo; i < hi; ++i) {
             run_tile(s.sched, s.chain, tiles[i]);
           }

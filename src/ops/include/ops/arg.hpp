@@ -2,7 +2,6 @@
 // global (constant or reduction), and the current-index pseudo-argument.
 #pragma once
 
-#include <vector>
 
 #include "ops/acc.hpp"
 #include "ops/core.hpp"
@@ -42,7 +41,6 @@ struct ArgGbl {
   T* data;
   index_t dim;
   Access acc;
-  std::vector<T> scratch;  ///< per-thread partials (threads backend)
 
   ArgInfo info() const { return {-1, -1, acc, dim, sizeof(T), true, false}; }
 };
@@ -75,7 +73,7 @@ ArgGbl<T> arg_gbl(T* data, index_t dim, Access acc) {
   apl::require(acc == Access::kRead || acc == Access::kInc ||
                    acc == Access::kMin || acc == Access::kMax,
                "ops::arg_gbl: access must be read or a reduction");
-  return {data, dim, acc, {}};
+  return {data, dim, acc};
 }
 
 inline ArgIdx arg_idx() { return {}; }

@@ -12,8 +12,9 @@
 // are dirty-bit driven: a read through a non-centre stencil of a dataset
 // written since the last exchange triggers one (x strips of full local
 // height first, then y strips of full local width, so corners settle in
-// two phases). Reductions combine per-rank partials through the metered
-// simulated communicator.
+// two phases). A reduction's work unit is the rank (apl::exec::split):
+// the per-rank partials combine through the metered simulated
+// communicator's allreduce (apl::mpisim::allreduce_commit).
 #pragma once
 
 #include <cstdint>
@@ -133,40 +134,17 @@ private:
                      &rank_stencil(r, *a.stencil), a.acc};
   }
 
-  /// Per-rank private globals for reductions.
-  template <class T>
-  apl::mpisim::RankPartials<ArgGbl<T>> make_state(ArgGbl<T>& g) {
-    return {g, num_ranks()};
-  }
-  template <class T>
-  ArgDat<T>* make_state(ArgDat<T>&) {
-    return nullptr;
-  }
-  inline ArgIdx* make_state(ArgIdx&) { return nullptr; }
-
-  template <class T>
-  ArgDat<T> rank_param(int r, ArgDat<T>& a, ArgDat<T>*) {
-    return rank_arg(a, r);
-  }
-  template <class T>
-  ArgGbl<T> rank_param(int r, ArgGbl<T>& /*g*/,
-                       apl::mpisim::RankPartials<ArgGbl<T>>& st) {
-    return st.rank_arg(r);
-  }
-  ArgIdx rank_param(int /*r*/, ArgIdx&, ArgIdx*) {
+  ArgIdx rank_arg(const ArgIdx&, int /*r*/) {
     ArgIdx out;
     for (int d = 0; d < kMaxDim; ++d) {
       out.offset[d] = static_cast<int>(current_shift_[d]);
     }
     return out;
   }
-
+  /// A rank's view of a global: the rank's work unit (apl::exec::thaw).
   template <class T>
-  void finish_state(ArgDat<T>*) {}
-  void finish_state(ArgIdx*) {}
-  template <class T>
-  void finish_state(apl::mpisim::RankPartials<ArgGbl<T>>& st) {
-    st.finish(comm_);
+  ArgGbl<T> rank_arg(const ArgGbl<T>& g, int /*r*/) {
+    return g;
   }
 };
 
@@ -200,7 +178,10 @@ void Distributed::par_loop(const std::string& name, const Block& block,
     }
   }
 
-  auto states = std::make_tuple(make_state(args)...);
+  // A reduction's work unit is the rank: its partials allreduce in rank
+  // order once every rank has run.
+  auto units = std::make_tuple(apl::exec::hold(args)...);
+  apl::exec::split_all(units, static_cast<std::size_t>(num_ranks()));
   const Decomp& dec = decomp_[block.id()];
   {
     apl::ScopedLoopTimer timer(global_->profile(), name);
@@ -233,14 +214,19 @@ void Distributed::par_loop(const std::string& name, const Block& block,
         local.hi[d] -= current_shift_[d];
       }
       std::apply(
-          [&](auto&... st) {
-            ops::par_loop(*rank_ctx_[r], name, rank_ctx_[r]->block(block.id()),
-                          local, kernel, rank_param(r, args, st)...);
+          [&](auto&... u) {
+            ops::par_loop(
+                *rank_ctx_[r], name, rank_ctx_[r]->block(block.id()), local,
+                kernel,
+                rank_arg(apl::exec::thaw(u, static_cast<std::size_t>(r)),
+                         r)...);
           },
-          states);
+          units);
     }
   }
-  std::apply([&](auto&... st) { (finish_state(st), ...); }, states);
+  std::apply(
+      [&](auto&... u) { (apl::mpisim::allreduce_commit(comm_, u), ...); },
+      units);
   // Logical per-loop traffic against the global grid. Without this the
   // global profile carried only seconds and halo_bytes on the dist path
   // (bytes/elements stayed zero, so report() showed 0 GB/s for every

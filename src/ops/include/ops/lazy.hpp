@@ -55,7 +55,8 @@ struct LoopRecord {
   std::vector<ArgInfo> infos;
   std::function<void(const Range&)> run;
   /// Stores the loop's global reductions in the callers' targets
-  /// (apl/chain.hpp); a no-op for a loop without one.
+  /// (apl::exec::commit, when apl/chain.hpp says); a no-op for a loop
+  /// without one.
   std::function<void()> commit;
 };
 

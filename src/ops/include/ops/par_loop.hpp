@@ -46,7 +46,6 @@ void account(Context& ctx, const std::string& name, const Range& range,
 
 struct Cursor {
   int idx[kMaxDim];
-  std::size_t tid;
 };
 
 template <class T>
@@ -58,12 +57,9 @@ Acc<T> point_param(ArgDat<T>& a, const Cursor& c) {
 }
 
 template <class T>
-T* point_param(ArgGbl<T>& g, const Cursor& c) {
-  return g.scratch.empty()
-             ? g.data
-             : g.scratch.data() + c.tid * static_cast<std::size_t>(g.dim);
+T* point_param(ArgGbl<T>& g, const Cursor&) {
+  return g.data;
 }
-
 
 // ---- debug / guarded stencil-check arming -----------------------------------
 
@@ -84,6 +80,10 @@ inline void arm_check(ArgIdx&, const std::string&, bool,
                       apl::verify::Report*) {}
 
 // ---- execution -------------------------------------------------------------
+
+/// Fewest grid points in one threads-backend work unit (execute_loop):
+/// enough that a unit's span setup is noise beside its kernel calls.
+inline constexpr std::size_t kUnitPoints = 1024;
 
 // Per-row hoisted state of a dataset argument: the row base pointer is
 // computed once per (j, k) row and bumped by the x stride per point —
@@ -163,18 +163,18 @@ decltype(auto) checked_param(S& st, A& a, const Cursor& c) {
   }
 }
 
-/// Runs the kernel over a sub-range on one "thread" slot (fast path: the
-/// accessor carries a compile-time-null check pointer). `flatten` forces
-/// the kernel and accessors to inline so the loop compiles to the plain
-/// nest OPS's real code generator would emit — without it the accessor's
-/// dead validation branch survives and costs >2x on light kernels.
+/// Runs the kernel over a sub-range (fast path: the accessor carries a
+/// compile-time-null check pointer). `flatten` forces the kernel and
+/// accessors to inline so the loop compiles to the plain nest OPS's real
+/// code generator would emit — without it the accessor's dead validation
+/// branch survives and costs >2x on light kernels.
 template <class Kernel, class... Args>
 #if defined(__GNUC__)
 [[gnu::flatten]]
 #endif
 void run_span(const Range& r, index_t out_lo, index_t out_hi, int out_dim,
-              std::size_t tid, Kernel&& k, Args&... args) {
-  Cursor c{{r.lo[0], r.lo[1], r.lo[2]}, tid};
+              Kernel&& k, Args&... args) {
+  Cursor c{{r.lo[0], r.lo[1], r.lo[2]}};
   c.idx[out_dim] = out_lo;
   // Iterate with the outer dimension restricted to [out_lo, out_hi).
   Range local = r;
@@ -203,9 +203,8 @@ void run_span(const Range& r, index_t out_lo, index_t out_hi, int out_dim,
 /// the stencil-validation state.
 template <class Kernel, class... Args>
 void run_span_checked(const Range& r, index_t out_lo, index_t out_hi,
-                      int out_dim, std::size_t tid, Kernel&& k,
-                      Args&... args) {
-  Cursor c{{r.lo[0], r.lo[1], r.lo[2]}, tid};
+                      int out_dim, Kernel&& k, Args&... args) {
+  Cursor c{{r.lo[0], r.lo[1], r.lo[2]}};
   Range local = r;
   local.lo[out_dim] = out_lo;
   local.hi[out_dim] = out_hi;
@@ -227,11 +226,11 @@ void run_span_checked(const Range& r, index_t out_lo, index_t out_hi,
 template <bool Checked, class Kernel, class... Args>
 void execute_loop(Context& ctx, const Range& range, int out_dim,
                   Kernel&& kernel, Args&... args) {
-  const auto span = [&](index_t lo, index_t hi, std::size_t tid) {
+  const auto span = [&](index_t lo, index_t hi, auto&... as) {
     if constexpr (Checked) {
-      run_span_checked(range, lo, hi, out_dim, tid, kernel, args...);
+      run_span_checked(range, lo, hi, out_dim, kernel, as...);
     } else {
-      run_span(range, lo, hi, out_dim, tid, kernel, args...);
+      run_span(range, lo, hi, out_dim, kernel, as...);
     }
   };
   switch (ctx.backend()) {
@@ -239,25 +238,46 @@ void execute_loop(Context& ctx, const Range& range, int out_dim,
     case Backend::kSimd:     // structured loops are unit-stride along x and
                              // auto-vectorize — kSimd is kSeq here
     case Backend::kCudaSim:  // same host execution; device model in account()
-      span(range.lo[out_dim], range.hi[out_dim], 0);
+      span(range.lo[out_dim], range.hi[out_dim], args...);
       break;
     case Backend::kThreads: {
-      apl::ThreadPool& pool = apl::ThreadPool::global();
-      (apl::exec::prepare_gbl(args, pool.size()), ...);
+      // The work unit is a run of whole indices of the parallel dimension
+      // covering at least kUnitPoints points, sized from the range alone:
+      // a reduction's partials fold in unit order for every team size.
       index_t extent = range.hi[out_dim] - range.lo[out_dim];
+      const std::size_t per_index = std::max<std::size_t>(
+          1, range.points() /
+                 static_cast<std::size_t>(std::max<index_t>(1, extent)));
+      const auto rows =
+          static_cast<index_t>((kUnitPoints + per_index - 1) / per_index);
 #ifdef APL_MUTATE_OPS_RANGE_TAIL
       // Mutation hook for the testkit smoke tests: drop the last row of the
       // partitioned dimension in the threads backend only (kSeq keeps the
       // full range, so the differential oracle sees the divergence).
       if (extent > 0) --extent;
 #endif
-      pool.parallel_for(
-          static_cast<std::size_t>(std::max<index_t>(0, extent)),
-          [&](std::size_t b, std::size_t e, std::size_t tid) {
-            span(range.lo[out_dim] + static_cast<index_t>(b),
-                 range.lo[out_dim] + static_cast<index_t>(e), tid);
+      const std::size_t nunits =
+          extent > 0 ? static_cast<std::size_t>((extent + rows - 1) / rows)
+                     : 0;
+      const index_t lo = range.lo[out_dim];
+      auto units = std::make_tuple(apl::exec::hold(args)...);
+      apl::exec::split_all(units, nunits);
+      apl::ThreadPool::global().parallel_for(
+          nunits, [&](std::size_t b, std::size_t e) {
+            std::apply(
+                [&](auto&... u) {
+                  for (std::size_t i = b; i < e; ++i) {
+                    const index_t ulo = lo + static_cast<index_t>(i) * rows;
+                    const index_t uhi = std::min(ulo + rows, lo + extent);
+                    const auto run = [&](auto&&... as) {
+                      span(ulo, uhi, as...);
+                    };
+                    run(apl::exec::thaw(u, i)...);
+                  }
+                },
+                units);
           });
-      (apl::exec::finish_gbl(args), ...);
+      apl::exec::commit_all(units);
       break;
     }
   }
@@ -339,12 +359,12 @@ void par_loop(Context& ctx, const std::string& name, const Block& block,
     rec.block = &block;
     rec.range = range;
     rec.infos = infos;
-    // Globals are snapshotted now (apl::chain::freeze); a reduction's
+    // Globals are snapshotted now (apl::exec::freeze); a reduction's
     // target is written only by `commit`, which the engine calls once the
     // chain completes inside this par_loop.
     auto frozen =
-        std::make_shared<std::tuple<decltype(apl::chain::freeze(args))...>>(
-            apl::chain::freeze(args)...);
+        std::make_shared<std::tuple<decltype(apl::exec::freeze(args))...>>(
+            apl::exec::freeze(args)...);
     rec.run = [&ctx, name, nd = block.ndim(), kernel = kernel,
                frozen](const Range& sub) mutable {
       std::apply(
@@ -375,14 +395,11 @@ void par_loop(Context& ctx, const std::string& name, const Block& block,
               // may clear the profile mid-loop (lifetime rule, profile.hpp).
               ctx.profile().stats(name).seconds += apl::now_seconds() - t0;
             };
-            invoke(apl::chain::thaw(fr)...);
+            invoke(apl::exec::thaw(fr)...);
           },
           *frozen);
     };
-    rec.commit = [frozen] {
-      std::apply([](auto&... fr) { (apl::chain::commit(fr), ...); },
-                 *frozen);
-    };
+    rec.commit = [frozen] { apl::exec::commit_all(*frozen); };
     // A reduction record flushes the chain, itself included, right here,
     // and commits its result, so logged global outputs are final; kRead
     // globals log nothing.

@@ -27,7 +27,9 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "apl/profile.hpp"
@@ -76,8 +78,8 @@ T reduction_identity(Access acc) {
 }
 
 /// Folds consecutive blocks of `dim` reduction partials into `into`, in
-/// ascending block order — the one combine order every partials holder
-/// (thread slots here, tiles in apl::chain::commit) uses.
+/// ascending block order — the one combine order of every partials holder
+/// (see GblSnapshot below).
 template <class T>
 void fold_partials(Access acc, std::size_t dim, const std::vector<T>& partials,
                    T* into) {
@@ -92,29 +94,117 @@ void fold_partials(Access acc, std::size_t dim, const std::vector<T>& partials,
   }
 }
 
-/// Per-worker partials of a global reduction on a threads backend (op2
-/// and ops): prepare_gbl gives a reduction argument `slots` identity-
-/// initialised copies of its `dim` values in `scratch`; finish_gbl folds
-/// them into the caller's data in ascending slot order. Dataset, index
-/// and read-only arguments carry no partials.
+// ---- reduction partials: hold / freeze / split / thaw / commit ------------
+//
+// Every parallel schedule gives a global reduction private partials per
+// *work unit* — a plan block (op2 threads backend), a fixed run of indices
+// of the parallel outer dimension (ops threads backend), a fused-walk tile
+// (the lazy engines) or a rank (the distributed layers) — never per
+// thread, so the result does not depend on which team member ran which
+// unit, nor on the team size. hold() wraps a global for an eager
+// schedule: a kRead global reaches the kernel as the caller's pointer.
+// freeze() also snapshots it, for a queued loop: a kRead global reads its
+// snapshot, and a reduction accumulates into it. split() gives a
+// reduction `units` blocks of identity-initialised partials; thaw(s, u)
+// is the argument unit `u` runs on. commit() folds the partials in
+// ascending unit order into the snapshot, then stores the result in the
+// caller's target (without a snapshot it folds into the target directly;
+// the distributed layers allreduce them instead,
+// apl::mpisim::allreduce_commit). A queued loop runs after its par_loop
+// returns and its global may point into the caller's stack, so the lazy
+// engines call commit() only once the chain has completed inside that
+// par_loop (apl::chain::Engine::enqueue). Dataset and index arguments
+// pass through every step unchanged.
+
 template <class Arg>
-void prepare_gbl(Arg& g, std::size_t slots) {
-  if constexpr (requires { g.scratch; }) {
-    if (g.acc == Access::kRead || slots == 0) {
-      g.scratch.clear();
-      return;
-    }
-    using T = std::remove_pointer_t<decltype(g.data)>;
-    g.scratch.assign(slots * static_cast<std::size_t>(g.dim),
-                     reduction_identity<T>(g.acc));
+concept GlobalArg = requires(const Arg& a) {
+  a.data;
+  a.dim;
+  a.acc;
+};
+
+template <GlobalArg Gbl>
+struct GblSnapshot {
+  using T = std::remove_cvref_t<decltype(*std::declval<Gbl>().data)>;
+  Gbl g;  ///< as the caller passed it: `data` is the target
+  std::vector<T> snap;
+  std::vector<T> partials;  ///< after split: `dim` values per work unit
+
+  bool reduces() const { return g.acc != Access::kRead; }
+};
+
+template <class Arg>
+auto hold(const Arg& a) {
+  if constexpr (GlobalArg<Arg>) {
+    return GblSnapshot<Arg>{a, {}, {}};
+  } else {
+    return a;
   }
 }
+
 template <class Arg>
-void finish_gbl(Arg& g) {
-  if constexpr (requires { g.scratch; }) {
-    fold_partials(g.acc, static_cast<std::size_t>(g.dim), g.scratch, g.data);
-    g.scratch.clear();
+auto freeze(const Arg& a) {
+  auto s = hold(a);
+  if constexpr (GlobalArg<Arg>) {
+    if (a.data != nullptr) s.snap.assign(a.data, a.data + a.dim);
   }
+  return s;
+}
+
+/// Gives a reduction `units` blocks of identity-initialised partials;
+/// other arguments ignore it.
+template <class Arg>
+void split(Arg&, std::size_t) {}
+template <class Gbl>
+void split(GblSnapshot<Gbl>& s, std::size_t units) {
+  if (!s.reduces()) return;
+  s.partials.assign(
+      units * static_cast<std::size_t>(s.g.dim),
+      reduction_identity<typename GblSnapshot<Gbl>::T>(s.g.acc));
+}
+
+/// The argument work unit `unit` runs on (0 when not split). A global is
+/// a fresh copy pointing at the unit's partials, else at its snapshot,
+/// else (held, kRead) at the caller's data, so concurrent units share no
+/// mutable state and a reduction never writes the caller's target.
+template <class Arg>
+Arg& thaw(Arg& a, std::size_t /*unit*/ = 0) {
+  return a;
+}
+template <class Gbl>
+Gbl thaw(GblSnapshot<Gbl>& s, std::size_t unit = 0) {
+  Gbl g = s.g;
+  if (!s.partials.empty()) {
+    g.data = s.partials.data() + unit * static_cast<std::size_t>(g.dim);
+  } else if (!s.snap.empty()) {
+    g.data = s.snap.data();
+  }
+  return g;
+}
+
+/// Stores a completed reduction in the caller's target, folding any
+/// partials in ascending unit order into the snapshot (if frozen) or the
+/// target (if held).
+template <class Arg>
+void commit(Arg&) {}
+template <class Gbl>
+void commit(GblSnapshot<Gbl>& s) {
+  if (!s.reduces()) return;
+  fold_partials(s.g.acc, static_cast<std::size_t>(s.g.dim), s.partials,
+                s.snap.empty() ? s.g.data : s.snap.data());
+  s.partials.clear();
+  std::copy(s.snap.begin(), s.snap.end(), s.g.data);
+}
+
+/// split / commit over a tuple of frozen arguments, as the schedules
+/// hold them.
+template <class Frozen>
+void split_all(Frozen& frozen, std::size_t units) {
+  std::apply([&](auto&... a) { (split(a, units), ...); }, frozen);
+}
+template <class Frozen>
+void commit_all(Frozen& frozen) {
+  std::apply([](auto&... a) { (commit(a), ...); }, frozen);
 }
 
 /// Parses a backend name ("seq", "simd", "threads", "cudasim");

@@ -89,10 +89,10 @@ public:
   void run_team(const std::function<void(std::size_t)>& body);
 
   /// Splits [0, n) into size() contiguous chunks and runs
-  /// body(begin, end, thread_id) on each team member.
-  void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t, std::size_t,
-                                             std::size_t)>& body);
+  /// body(begin, end) on each team member.
+  void parallel_for(
+      std::size_t n,
+      const std::function<void(std::size_t, std::size_t)>& body);
 
   // ---- task mode -----------------------------------------------------------
 

@@ -74,15 +74,14 @@ void ThreadPool::run_team(const std::function<void(std::size_t)>& body) {
 }
 
 void ThreadPool::parallel_for(
-    std::size_t n,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
+    std::size_t n, const std::function<void(std::size_t, std::size_t)>& body) {
   const std::size_t team = size();
   if (n == 0) return;
   run_team([&](std::size_t tid) {
     const std::size_t chunk = (n + team - 1) / team;
     const std::size_t begin = std::min(n, tid * chunk);
     const std::size_t end = std::min(n, begin + chunk);
-    if (begin < end) body(begin, end, tid);
+    if (begin < end) body(begin, end);
   });
 }
 

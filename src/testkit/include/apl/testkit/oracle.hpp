@@ -124,11 +124,13 @@ inline std::optional<Divergence> run_op2_oracle(const Op2CaseSpec& spec,
   // executor with an explicit tile team of that size, on the seq backend
   // so everything else (unfused fallbacks included) stays bitwise. The
   // layered coloring makes round execution order-preserving, so these
-  // combos assert bitwise dats at every team size — and they enable
-  // the kPlan audit, which proves every schedule they ran was a legal
-  // round order (this is what catches APL_MUTATE_OP2_COLOR_MERGE
-  // deterministically on a 1-core host, where the merged round's race
-  // may never lose a timing coin flip).
+  // combos assert bitwise dats at every team size. Every combo whose
+  // fused chains run on a team — these and `lazy-tiled-threads`, whose
+  // team is the process pool — enables the kPlan audit, which proves
+  // every schedule it ran was a legal round order (this is what catches
+  // APL_MUTATE_OP2_COLOR_MERGE deterministically on a 1-core host, where
+  // the merged round's race may never lose a timing coin flip, and
+  // before the merged round runs, so a TSan build sees no race).
   struct Plain {
     ComboMeta meta;
     Backend backend;
@@ -181,8 +183,8 @@ inline std::optional<Divergence> run_op2_oracle(const Op2CaseSpec& spec,
       sys->ctx.set_tiling(p.tiling);
       if (p.tile > 0) sys->ctx.set_tile_size(p.tile);
       if (p.lazy) sys->ctx.set_lazy(true);
-      if (team != nullptr) {
-        sys->ctx.set_tile_team(team.get());
+      if (team != nullptr) sys->ctx.set_tile_team(team.get());
+      if (p.lazy && sys->ctx.tile_team_enabled()) {
         sys->ctx.set_verify(sys->ctx.verify_checks() | apl::verify::kPlan);
       }
       Op2PlainExec ex{&sys->ctx};

@@ -289,6 +289,35 @@ TEST(DebugChecks, CatchesKernelWritingReadOnlyArg) {
       apl::Error);
 }
 
+// Every backend hands a kRead global to the kernel as the caller's data,
+// so the check sees a write through it. One element writes and none
+// reads, so the kernel is race-free on the threads backend.
+TEST(DebugChecks, CatchesKernelWritingReadOnlyGlobalOnEveryBackend) {
+  for (Backend b : {Backend::kSeq, Backend::kSimd, Backend::kThreads,
+                    Backend::kCudaSim}) {
+    Harness h;
+    h.ctx.set_backend(b);
+    h.ctx.set_debug_checks(true);
+    std::vector<double> ids(static_cast<std::size_t>(h.nodes->size()));
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      ids[i] = static_cast<double>(i);
+    }
+    op2::Dat<double>& id = h.ctx.decl_dat<double>(*h.nodes, 1, ids, "id");
+    double scale = 2.0;
+    EXPECT_THROW(op2::par_loop(h.ctx, "evil_gbl", *h.nodes,
+                               [](op2::Acc<double> id, op2::Acc<double> r,
+                                  op2::Acc<double> s) {
+                                 r[0] = 1.0;
+                                 if (id[0] == 17.0) s[0] = 7.0;
+                               },
+                               op2::arg(id, Access::kRead),
+                               op2::arg(*h.res, Access::kWrite),
+                               op2::arg_gbl(&scale, 1, Access::kRead)),
+                 apl::Error)
+        << apl::exec::to_string(b);
+  }
+}
+
 TEST(DebugChecks, PassesWellBehavedKernel) {
   Harness h;
   h.ctx.set_debug_checks(true);

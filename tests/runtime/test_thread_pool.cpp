@@ -37,7 +37,7 @@ TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
   apl::ThreadPool pool(4);
   const std::size_t n = 10001;
   std::vector<int> hits(n, 0);
-  pool.parallel_for(n, [&](std::size_t b, std::size_t e, std::size_t) {
+  pool.parallel_for(n, [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) ++hits[i];
   });
   EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0),
@@ -48,7 +48,7 @@ TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
 TEST(ThreadPool, ParallelForEmptyRange) {
   apl::ThreadPool pool(2);
   bool called = false;
-  pool.parallel_for(0, [&](std::size_t, std::size_t, std::size_t) {
+  pool.parallel_for(0, [&](std::size_t, std::size_t) {
     called = true;
   });
   EXPECT_FALSE(called);
@@ -57,7 +57,7 @@ TEST(ThreadPool, ParallelForEmptyRange) {
 TEST(ThreadPool, ParallelForFewerItemsThanThreads) {
   apl::ThreadPool pool(8);
   std::vector<std::atomic<int>> hits(3);
-  pool.parallel_for(3, [&](std::size_t b, std::size_t e, std::size_t) {
+  pool.parallel_for(3, [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
   });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);

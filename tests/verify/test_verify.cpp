@@ -350,6 +350,28 @@ TEST(VerifyOpsAccess, WriteThroughReadOnlyGlobalIsCaught) {
   EXPECT_NE(g.ctx.verify_report().find("bad_gbl", verify::kAccess), nullptr);
 }
 
+// The threads backend splits the range into several work units; a kRead
+// global still reaches the kernel as the caller's data, so the guard sees
+// the write. One point writes and none reads, so the kernel is race-free.
+TEST(VerifyOpsAccess, WriteThroughReadOnlyGlobalIsCaughtOnThreads) {
+  OpsGrid g(64, 40);
+  g.ctx.set_backend(apl::exec::Backend::kThreads);
+  g.ctx.set_verify(verify::kAccess);
+  double scale = 2.0;
+  EXPECT_APL_ERROR(
+      "declared kRead but the kernel modified component 0",
+      ops::par_loop(g.ctx, "bad_gbl_threads", *g.grid,
+                    ops::Range::dim2(0, g.nx, 0, g.ny),
+                    [](ops::Acc<double> t, double* s, const int* idx) {
+                      t(0, 0) = 1.0;
+                      if (idx[0] == 5 && idx[1] == 30) s[0] = 7.0;
+                    },
+                    ops::arg(*g.t, Access::kWrite),
+                    ops::arg_gbl(&scale, 1, Access::kRead), ops::arg_idx()));
+  EXPECT_NE(g.ctx.verify_report().find("bad_gbl_threads", verify::kAccess),
+            nullptr);
+}
+
 // ---- OPS halo consistency ---------------------------------------------------
 
 TEST(VerifyOpsHalo, OutOfBandOwnerWriteIsReportedStale) {

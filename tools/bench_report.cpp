@@ -304,7 +304,7 @@ struct ServeProbe {
   double throughput_jobs_per_second = 0.0;
   double mean_latency_seconds = 0.0;  // admission -> terminal, completed jobs
   double max_latency_seconds = 0.0;
-  double solo_seconds = 0.0;          // one airfoil run, no server
+  double solo_seconds = 0.0;          // one warm airfoil run, no server
   double served_seconds = 0.0;        // the same run as a lone tenant
   double isolation_overhead = 0.0;    // served/solo - 1 (scope machinery)
   bool digests_match = false;         // healthy tenants == solo, bitwise
@@ -341,6 +341,10 @@ ServeProbe probe_serve() {
   const serve::AirfoilJob airfoil_shape{};
   const serve::CloverJob clover_shape{};
   const serve::MiniHydraJob hydra_shape{};
+  // One untimed airfoil run first, so the timed solo run below is as warm
+  // (first allocations, process pools, code pages) as the served one it
+  // is compared with.
+  serve_solo(serve::make_airfoil_job("warmup", airfoil_shape), nullptr);
   const std::string airfoil_solo =
       serve_solo(serve::make_airfoil_job("ref-a", airfoil_shape),
                  &p.solo_seconds);
