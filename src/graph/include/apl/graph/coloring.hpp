@@ -35,7 +35,7 @@ Coloring color_by_shared_resources(std::span<const index_t> resources,
                                    index_t num_resources);
 
 /// Verifies that no two items of equal color share a resource. Returns the
-/// number of violations (0 == valid). Used by tests and OPAL_DEBUG checks.
+/// number of violations (0 == valid). Used by tests.
 std::int64_t count_conflicts(const Coloring& c,
                              std::span<const index_t> resources,
                              index_t arity, index_t num_resources);

@@ -25,6 +25,27 @@ constexpr std::uint32_t kTagOwner = 0x4F574E52;  // "OWNR"
 
 }  // namespace
 
+std::optional<std::vector<index_t>> decode_partition(
+    std::span<const std::uint8_t> payload, index_t n, int nranks,
+    std::string* diag) {
+  std::vector<index_t> owner;
+  const apl::plan_cache::SectionHandler handlers[] = {
+      {kTagOwner, [&owner](std::span<const std::uint8_t> b) {
+         apl::plan_cache::SectionReader r(b);
+         return r.rest<index_t>(&owner) && r.done();
+       }}};
+  *diag = apl::plan_cache::decode_sections(payload, handlers);
+  if (!diag->empty()) return std::nullopt;
+  // Container-valid but not a partition of this (mesh, ranks).
+  bool ok = owner.size() == static_cast<std::size_t>(n);
+  for (index_t o : owner) ok = ok && o >= 0 && o < nranks;
+  if (!ok) {
+    *diag = "partition blob fails owner validation";
+    return std::nullopt;
+  }
+  return owner;
+}
+
 Distributed::Distributed(Context& ctx, int nranks,
                          apl::graph::PartitionMethod method,
                          const Set& base_set, const DatBase* coords)
@@ -64,7 +85,8 @@ void Distributed::partition_sets(apl::graph::PartitionMethod method,
   // The partition depends only on (mesh topology, method, rank count), so
   // it persists in the plan cache like any other analysis result — which
   // makes post-shrink repartitioning of a previously seen (mesh, R-1)
-  // pair a warm hit instead of a fresh partitioner run.
+  // pair a warm hit instead of a fresh partitioner run. An empty base set
+  // has nothing to partition and stays out of the store.
   auto& pstore = apl::plan_cache::Store::current();
   apl::plan_cache::Key ck;
   if (pstore.enabled()) {
@@ -79,73 +101,54 @@ void Distributed::partition_sets(apl::graph::PartitionMethod method,
     cfg.pod(static_cast<std::int32_t>(nranks));
     ck.config = cfg.value();
     ck.version = kPartVersion;
-    ck.label = "part:" + base.name();
+    ck.label = base.name();
   }
 
   std::vector<index_t> owner;
-  if (pstore.enabled() && base.size() > 0) {
-    if (auto payload = pstore.load(ck)) {
-      apl::trace::Span span(apl::trace::kPlan, "part_hit:" + base.name());
-      std::vector<index_t> got;
-      const apl::plan_cache::SectionHandler handlers[] = {
-          {kTagOwner, [&got](std::span<const std::uint8_t> b) {
-             apl::plan_cache::SectionReader r(b);
-             return r.rest<index_t>(&got) && r.done();
-           }}};
-      std::string diag = apl::plan_cache::decode_sections(*payload, handlers);
-      bool ok = diag.empty() &&
-                got.size() == static_cast<std::size_t>(base.size());
-      for (index_t o : got) ok = ok && o >= 0 && o < nranks;
-      if (ok) {
-        owner = std::move(got);
-        span.set_elements(static_cast<std::uint64_t>(base.size()));
-        span.set_bytes(payload->size());
-      } else {
-        // Container-valid but not a partition of this (mesh, ranks):
-        // surface it like corruption and repartition fresh.
-        pstore.note_corrupt(diag.empty()
-                                ? "partition blob fails owner validation"
-                                : diag);
-      }
-    }
-  }
-
-  const bool computed = owner.empty() && base.size() > 0;
-  if (computed) {
-    apl::trace::Span span(apl::trace::kPlan, "part:" + base.name());
-    apl::graph::Partition p;
-    switch (method) {
-      case apl::graph::PartitionMethod::kBlock:
-        p = apl::graph::partition_block(base.size(), nranks);
-        break;
-      case apl::graph::PartitionMethod::kRcb:
-        p = apl::graph::partition_rcb(xy, coords->dim(), base.size(), nranks);
-        break;
-      case apl::graph::PartitionMethod::kKway: {
-        // Adjacency of the base set through any map targeting it.
-        const Map* via = nullptr;
-        for (index_t m = 0; m < global_->num_maps(); ++m) {
-          if (&global_->map(m).to() == &base) {
-            via = &global_->map(m);
-            break;
+  if (base.size() > 0) {
+    owner = std::move(*apl::plan_cache::load_or_build<std::vector<index_t>>(
+        pstore, ck, "part_hit:", static_cast<std::uint64_t>(base.size()),
+        [&](const std::vector<std::uint8_t>& payload, std::string* diag) {
+          return decode_partition(payload, base.size(), nranks, diag);
+        },
+        [&] {
+          apl::trace::Span span(apl::trace::kPlan, "part:" + base.name());
+          span.set_elements(static_cast<std::uint64_t>(base.size()));
+          apl::graph::Partition p;
+          switch (method) {
+            case apl::graph::PartitionMethod::kBlock:
+              p = apl::graph::partition_block(base.size(), nranks);
+              break;
+            case apl::graph::PartitionMethod::kRcb:
+              p = apl::graph::partition_rcb(xy, coords->dim(), base.size(),
+                                            nranks);
+              break;
+            case apl::graph::PartitionMethod::kKway: {
+              // Adjacency of the base set through any map targeting it.
+              const Map* via = nullptr;
+              for (index_t m = 0; m < global_->num_maps(); ++m) {
+                if (&global_->map(m).to() == &base) {
+                  via = &global_->map(m);
+                  break;
+                }
+              }
+              apl::require(via != nullptr,
+                           "Distributed: k-way partitioning needs a map onto "
+                           "the base set");
+              const apl::graph::Csr adj = apl::graph::node_adjacency(
+                  via->table(), via->arity(), via->from().size(),
+                  base.size());
+              p = apl::graph::partition_kway(adj, nranks);
+              break;
+            }
           }
-        }
-        apl::require(via != nullptr,
-                     "Distributed: k-way partitioning needs a map onto the "
-                     "base set");
-        const apl::graph::Csr adj = apl::graph::node_adjacency(
-            via->table(), via->arity(), via->from().size(), base.size());
-        p = apl::graph::partition_kway(adj, nranks);
-        break;
-      }
-    }
-    owner = std::move(p.part);
-    span.set_elements(static_cast<std::uint64_t>(base.size()));
-  }
-  if (computed && pstore.enabled()) {
-    apl::plan_cache::BlobWriter w;
-    w.section_of<index_t>(kTagOwner, owner);
-    pstore.save(ck, w.bytes());
+          return std::move(p.part);
+        },
+        [](const std::vector<index_t>& o) {
+          apl::plan_cache::BlobWriter w;
+          w.section_of<index_t>(kTagOwner, o);
+          return w.take();
+        }));
   }
   set_dist_[base.id()].owner = std::move(owner);
 

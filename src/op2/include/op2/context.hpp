@@ -1,6 +1,6 @@
 // The OP2 context: owner of the mesh declaration and of all run-time
 // machinery (backend selection, plan cache, per-loop profile, flop hints,
-// debug checks, checkpointing hooks).
+// apl::verify checking, checkpointing hooks).
 //
 // An application declares its sets, maps and dats once against a Context
 // ("all data is handed over to the library"), then expresses computation
@@ -38,12 +38,12 @@ struct DeviceReport {
   double efficiency = 1.0;  ///< useful / transferred bytes
 };
 
-/// The unified execution API (backend selection, debug checks, lazy mode,
-/// profile, flop hints) and the lazy chain engine (queue, flush points,
-/// resume, chain stats) are the apl::chain::Engine base's (apl/chain.hpp),
-/// shared with ops::Context. This family supplies the sparse-tiling
-/// inspector and its step table (op2/lazy.hpp); set_tiling() and
-/// set_tile_size() control the fusion.
+/// The unified execution API (backend selection, apl::verify checking,
+/// lazy mode, profile, flop hints) and the lazy chain engine (queue, flush
+/// points, resume, chain stats) are the apl::chain::Engine base's
+/// (apl/chain.hpp), shared with ops::Context. This family supplies the
+/// sparse-tiling inspector and its step table (op2/lazy.hpp);
+/// set_tiling() and set_tile_size() control the fusion.
 class Context : public apl::chain::Engine<Context, LoopRecord, TileSchedule> {
 public:
   Context() = default;

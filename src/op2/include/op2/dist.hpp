@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -42,6 +43,14 @@
 #include "op2/par_loop.hpp"
 
 namespace op2 {
+
+/// Decodes a partition-cache payload (one "OWNR" section: the base set's
+/// element -> rank vector) and validates it against the `n` elements and
+/// `nranks` ranks it must cover. Returns std::nullopt with `*diag` naming
+/// the defect otherwise; the caller then repartitions fresh.
+std::optional<std::vector<index_t>> decode_partition(
+    std::span<const std::uint8_t> payload, index_t n, int nranks,
+    std::string* diag);
 
 class Distributed final : public apl::mpisim::Ladder {
 public:

@@ -3,8 +3,8 @@
 //
 // With Context::set_lazy(true), op2::par_loop enqueues a LoopRecord into
 // the shared chain engine's queue (apl/chain.hpp lists the flush points;
-// here an attached checkpointer, debug checks or kAccess guarding also
-// drain the queue and run the loop eagerly).
+// here an attached checkpointer or kAccess guarding also drains the queue
+// and runs the loop eagerly).
 //
 // At a flush the *inspector* walks the queued loops' maps and access
 // descriptors and grows sparse tiles by wavefront over the shared dats

@@ -65,34 +65,6 @@ Acc<T> element_acc(ArgGbl<T>& g, index_t /*e*/) {
   return Acc<T>(g.data, 1);
 }
 
-// ---- debug checks (paper Sec. II-C consistency mechanisms) --------------
-
-template <class T>
-std::vector<T> debug_snapshot(const ArgDat<T>& a) {
-  if (a.acc != apl::exec::Access::kRead) return {};
-  return a.dat->to_vector();
-}
-template <class T>
-std::vector<T> debug_snapshot(const ArgGbl<T>& g) {
-  if (g.acc != apl::exec::Access::kRead) return {};
-  return std::vector<T>(g.data, g.data + g.dim);
-}
-
-template <class T>
-void debug_verify(const ArgDat<T>& a, const std::vector<T>& snap,
-                  const std::string& loop) {
-  if (a.acc != apl::exec::Access::kRead) return;
-  apl::require(a.dat->to_vector() == snap, "debug check: loop '", loop,
-               "' modified read-only dat '", a.dat->name(), "'");
-}
-template <class T>
-void debug_verify(const ArgGbl<T>& g, const std::vector<T>& snap,
-                  const std::string& loop) {
-  if (g.acc != apl::exec::Access::kRead) return;
-  apl::require(std::equal(snap.begin(), snap.end(), g.data), "debug check: loop '",
-               loop, "' modified read-only global");
-}
-
 // ---- lazy-chain enqueue support (op2/lazy.hpp) -----------------------------
 
 /// False when packed (SIMD) execution of a slice could pair elements that
@@ -472,6 +444,31 @@ void run_cudasim(Context& ctx, const std::string& name, const Set& /*set*/,
   (void)name;
 }
 
+/// Runs the whole of `set` under the context's backend: the eager driver
+/// and a queued loop's unfused replay share this dispatch. `infos`
+/// describes `args` (the colored backends key their plan on it).
+template <class Kernel, class... Args>
+void run_backend(Context& ctx, const std::string& name, const Set& set,
+                 const std::vector<ArgInfo>& infos, Kernel&& k,
+                 Args&... args) {
+  switch (ctx.backend()) {
+    case apl::exec::Backend::kSeq:
+      run_seq(set, k, args...);
+      break;
+    case apl::exec::Backend::kSimd:
+      run_simd(set, k, args...);
+      break;
+    case apl::exec::Backend::kThreads:
+      run_threads(ctx, name, set, ctx.plan_for({name, &set, infos}), k,
+                  args...);
+      break;
+    case apl::exec::Backend::kCudaSim:
+      run_cudasim(ctx, name, set, ctx.plan_for({name, &set, infos}), k,
+                  args...);
+      break;
+  }
+}
+
 }  // namespace detail
 
 /// Executes `kernel` for every element of `set` under the Context's current
@@ -503,12 +500,11 @@ void par_loop(Context& ctx, const std::string& name, const Set& set,
   // Lazy mode: enqueue instead of executing (op2/lazy.hpp). Loops the
   // chain executor replays re-enter the backends below directly, never
   // this driver, so chain_executing() only guards the explicit
-  // flush-then-run-eagerly paths. Checkpointing, debug checks and access
-  // guarding want to observe each loop as it runs: they drain the queue
-  // (order preserved) and fall through to eager execution.
+  // flush-then-run-eagerly paths. Checkpointing and access guarding want
+  // to observe each loop as it runs: they drain the queue (order
+  // preserved) and fall through to eager execution.
   if (ctx.lazy() && !ctx.chain_executing()) {
     const bool wants_eager = ctx.checkpointer() != nullptr ||
-                             ctx.debug_checks() ||
                              ctx.verifying(apl::verify::kAccess);
     if (wants_eager) {
       ctx.flush();
@@ -534,28 +530,8 @@ void par_loop(Context& ctx, const std::string& name, const Set& set,
                 loop_span.set_elements(
                     static_cast<std::uint64_t>(sp->core_size()));
                 const double t0 = apl::now_seconds();
-                switch (ctx.backend()) {
-                  case apl::exec::Backend::kSeq:
-                    detail::run_seq(*sp, kernel, as...);
-                    break;
-                  case apl::exec::Backend::kSimd:
-                    detail::run_simd(*sp, kernel, as...);
-                    break;
-                  case apl::exec::Backend::kThreads: {
-                    std::vector<ArgInfo> infos{as.info()...};
-                    detail::run_threads(ctx, name, *sp,
-                                        ctx.plan_for({name, sp, infos}),
-                                        kernel, as...);
-                    break;
-                  }
-                  case apl::exec::Backend::kCudaSim: {
-                    std::vector<ArgInfo> infos{as.info()...};
-                    detail::run_cudasim(ctx, name, *sp,
-                                        ctx.plan_for({name, sp, infos}),
-                                        kernel, as...);
-                    break;
-                  }
-                }
+                detail::run_backend(ctx, name, *sp, {as.info()...}, kernel,
+                                    as...);
                 // Seconds only: calls and traffic are accounted once per
                 // loop at chain completion (lazy.cpp), and the stats entry
                 // is resolved after the kernel per the ScopedLoopTimer
@@ -617,10 +593,6 @@ void par_loop(Context& ctx, const std::string& name, const Set& set,
     }
   }
 
-  auto snapshots = ctx.debug_checks()
-                       ? std::make_tuple(detail::debug_snapshot(args)...)
-                       : std::tuple<decltype(detail::debug_snapshot(args))...>{};
-
   // The loop span covers execution only (not accounting), so nested color
   // spans sit strictly inside it. Counters attach after accounting below.
   apl::trace::Span loop_span(apl::trace::kLoop, name);
@@ -633,24 +605,7 @@ void par_loop(Context& ctx, const std::string& name, const Set& set,
     detail::run_guarded_access(ctx, name, set, kernel, args...);
   } else {
     apl::ScopedLoopTimer timer(ctx.profile(), name);
-    switch (ctx.backend()) {
-      case apl::exec::Backend::kSeq:
-        detail::run_seq(set, kernel, args...);
-        break;
-      case apl::exec::Backend::kSimd:
-        detail::run_simd(set, kernel, args...);
-        break;
-      case apl::exec::Backend::kThreads:
-        detail::run_threads(ctx, name, set,
-                            ctx.plan_for({name, &set, infos}), kernel,
-                            args...);
-        break;
-      case apl::exec::Backend::kCudaSim:
-        detail::run_cudasim(ctx, name, set,
-                            ctx.plan_for({name, &set, infos}), kernel,
-                            args...);
-        break;
-    }
+    detail::run_backend(ctx, name, set, infos, kernel, args...);
   }
   // Resolve the stats entry only now: the kernel ran inside the timer
   // scope above and may have cleared the profile (see the ScopedLoopTimer
@@ -663,12 +618,6 @@ void par_loop(Context& ctx, const std::string& name, const Set& set,
   loop_span.set_elements(static_cast<std::uint64_t>(set.core_size()));
   if (stats.bytes() >= bytes_before) {
     loop_span.set_bytes(stats.bytes() - bytes_before);
-  }
-
-  if (ctx.debug_checks()) {
-    std::apply(
-        [&](auto&... snap) { (detail::debug_verify(args, snap, name), ...); },
-        snapshots);
   }
 
   if (Checkpointer* ck = ctx.checkpointer()) {

@@ -6,29 +6,27 @@
 // acc.at(d, i, j, k) addresses component d of a multi-component dataset —
 // the C++ forms of OPS's OPS_ACC / OPS_ACC_MD macros.
 //
-// In debug-check mode every access is validated against the declared
-// stencil ("OPS can automatically check whether the used stencils match
-// the declared ones", paper Sec. II-C).
+// Under apl::verify::kStencil every access is validated against the
+// declared stencil ("OPS can automatically check whether the used
+// stencils match the declared ones", paper Sec. II-C).
 #pragma once
 
 #include <cstddef>
 #include <string>
 
-#include "apl/error.hpp"
 #include "apl/verify.hpp"
 #include "ops/core.hpp"
 
 namespace ops {
 
-/// Per-argument debug validation state (shared across grid points). When
-/// armed by guarded execution (apl::verify::kStencil) rather than plain
-/// debug checks, `report` points at the context's verify report so the
-/// violation is recorded before the throw.
+/// Per-argument stencil validation state (shared across grid points),
+/// armed by par_loop under apl::verify::kStencil. A violation is recorded
+/// in `report` (the context's verify report), then thrown.
 struct StencilCheck {
   const Stencil* stencil;
   const char* loop;
   const char* dat;
-  apl::verify::Report* report = nullptr;
+  apl::verify::Report* report;
 };
 
 template <class T>
@@ -53,29 +51,14 @@ public:
 
 private:
   void verify(int i, int j, int k) const {
-#ifdef OPAL_OPS_NO_CHECKS
-    // Production configuration: the stencil checker is compiled out and
-    // the accessor is a bare strided load/store (define set per target;
-    // the benches use it, the tests keep the checker).
-    (void)i;
-    (void)j;
-    (void)k;
-    return;
-#else
     if (check_ == nullptr) return;
     if (check_->stencil->contains(i, j, k)) return;
-    if (check_->report != nullptr) {
-      check_->report->fail(
-          check_->loop, apl::verify::kStencil,
-          std::string("dat '") + check_->dat + "' accessed at offset (" +
-              std::to_string(i) + "," + std::to_string(j) + "," +
-              std::to_string(k) + ") outside declared stencil '" +
-              check_->stencil->name() + "'");
-    }
-    apl::fail("stencil check: loop '", check_->loop, "' accessed offset (", i,
-              ",", j, ",", k, ") of dat '", check_->dat,
-              "' outside declared stencil '", check_->stencil->name(), "'");
-#endif
+    check_->report->fail(
+        check_->loop, apl::verify::kStencil,
+        std::string("dat '") + check_->dat + "' accessed at offset (" +
+            std::to_string(i) + "," + std::to_string(j) + "," +
+            std::to_string(k) + ") outside declared stencil '" +
+            check_->stencil->name() + "'");
   }
 
   T* p_;

@@ -26,7 +26,7 @@ struct ArgDat {
   Dat<T>* dat;
   const Stencil* stencil;
   Access acc;
-  /// Debug-mode stencil validation (armed by par_loop).
+  /// Stencil validation under apl::verify::kStencil (armed by par_loop).
   StencilCheck chk{};
   bool checked = false;
 

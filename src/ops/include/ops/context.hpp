@@ -1,11 +1,12 @@
 // The OPS context: owner of blocks, stencils, datasets, inter-block halos
 // and run-time configuration.
 //
-// Execution configuration (backend, debug checks, lazy mode, profile, flop
-// hints) and the lazy chain engine (queue, flush points, resume, chain
-// stats) come from the apl::chain::Engine base (apl/chain.hpp), shared
-// with op2::Context. This family supplies the cross-loop cache-blocked
-// tiling analysis and its step table (ops/lazy.hpp).
+// Execution configuration (backend, apl::verify checking, lazy mode,
+// profile, flop hints) and the lazy chain engine (queue, flush points,
+// resume, chain stats) come from the apl::chain::Engine base
+// (apl/chain.hpp), shared with op2::Context. This family supplies the
+// cross-loop cache-blocked tiling analysis and its step table
+// (ops/lazy.hpp).
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 // Guarded-execution helpers for OPS (apl::verify::kAccess).
 //
 // OPS kernels may only write the centre point, so the stencil checker
-// (apl::verify::kStencil, reusing the debug-mode StencilCheck machinery)
+// (apl::verify::kStencil, the StencilCheck each ops::Acc carries)
 // already polices *where* a kernel touches a dataset. kAccess adds the
 // orthogonal contract: an argument declared kRead must not be written at
 // all. Unlike OP2's canary-probe protocol — which must disambiguate

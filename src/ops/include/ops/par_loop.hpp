@@ -61,23 +61,21 @@ T* point_param(ArgGbl<T>& g, const Cursor&) {
   return g.data;
 }
 
-// ---- debug / guarded stencil-check arming -----------------------------------
+// ---- stencil-check arming (apl::verify::kStencil) ---------------------------
 
-// Armed either by Context::set_debug_checks (plain throw) or by guarded
-// execution under apl::verify::kStencil (`rep` non-null: the violation is
-// recorded in the context's verify report, then thrown).
+// A violation is recorded in the context's verify report, then thrown.
 template <class T>
 void arm_check(ArgDat<T>& a, const std::string& loop, bool on,
-               apl::verify::Report* rep) {
+               apl::verify::Report& rep) {
   a.checked = on;
   if (on) {
-    a.chk = StencilCheck{a.stencil, loop.c_str(), a.dat->name().c_str(), rep};
+    a.chk = StencilCheck{a.stencil, loop.c_str(), a.dat->name().c_str(), &rep};
   }
 }
 template <class T>
-void arm_check(ArgGbl<T>&, const std::string&, bool, apl::verify::Report*) {}
+void arm_check(ArgGbl<T>&, const std::string&, bool, apl::verify::Report&) {}
 inline void arm_check(ArgIdx&, const std::string&, bool,
-                      apl::verify::Report*) {}
+                      apl::verify::Report&) {}
 
 // ---- execution -------------------------------------------------------------
 
@@ -199,8 +197,8 @@ void run_span(const Range& r, index_t out_lo, index_t out_hi, int out_dim,
   }
 }
 
-/// Slow path used only under debug checks: per-point accessors carrying
-/// the stencil-validation state.
+/// Slow path used only under apl::verify::kStencil: per-point accessors
+/// carrying the stencil-validation state.
 template <class Kernel, class... Args>
 void run_span_checked(const Range& r, index_t out_lo, index_t out_hi,
                       int out_dim, Kernel&& k, Args&... args) {
@@ -370,12 +368,8 @@ void par_loop(Context& ctx, const std::string& name, const Block& block,
       std::apply(
           [&](auto&... fr) {
             const auto invoke = [&](auto&&... as) {
-              const bool guard_stencil =
-                  ctx.verifying(apl::verify::kStencil);
-              const bool checked = ctx.debug_checks() || guard_stencil;
-              (detail::arm_check(as, name, checked,
-                                 guard_stencil ? &ctx.verify_report()
-                                               : nullptr),
+              const bool checked = ctx.verifying(apl::verify::kStencil);
+              (detail::arm_check(as, name, checked, ctx.verify_report()),
                ...);
               int out_dim = nd - 1;
               while (out_dim > 0 && sub.hi[out_dim] - sub.lo[out_dim] <= 1) {
@@ -412,11 +406,8 @@ void par_loop(Context& ctx, const std::string& name, const Block& block,
     return;
   }
 
-  const bool guard_stencil = ctx.verifying(apl::verify::kStencil);
-  const bool checked = ctx.debug_checks() || guard_stencil;
-  (detail::arm_check(args, name, checked,
-                     guard_stencil ? &ctx.verify_report() : nullptr),
-   ...);
+  const bool checked = ctx.verifying(apl::verify::kStencil);
+  (detail::arm_check(args, name, checked, ctx.verify_report()), ...);
 
   // The outermost dimension with extent > 1 is the parallel one.
   int out_dim = block.ndim() - 1;

@@ -5,10 +5,10 @@
 // access-mode vocabulary for loop arguments, a backend enum naming the
 // "generated" per-platform loop structures, a string/environment parser
 // for backend selection, and a common Context base carrying the execution
-// configuration (backend, debug checks, lazy execution, per-loop profile
-// and flop hints). `op2::Context` and `ops::Context` derive from
-// ExecContext, so application code configures either library through one
-// spelling:
+// configuration (backend, guarded checking through apl::verify, lazy
+// execution, per-loop profile and flop hints). `op2::Context` and
+// `ops::Context` derive from ExecContext, so application code configures
+// either library through one spelling:
 //
 //   ctx.set_backend(apl::exec::backend_from_env());
 //   ctx.set_lazy(true);      // queue loops, flush at synchronization points
@@ -230,11 +230,6 @@ public:
   Backend backend() const { return backend_; }
   void set_backend(Backend b) { backend_ = b; }
 
-  /// Debug mode: the library verifies kernels against their access
-  /// declarations (stencil checks in OPS, read-only snapshots in OP2).
-  bool debug_checks() const { return debug_checks_; }
-  void set_debug_checks(bool on) { debug_checks_ = on; }
-
   /// Lazy execution: par_loop enqueues a loop record instead of running
   /// it; the queued chain executes at a flush point (explicit flush(), a
   /// global reduction, raw data access, or a halo exchange). Turning lazy
@@ -269,9 +264,11 @@ public:
   double plan_seconds() const { return plan_seconds_; }
   void add_plan_seconds(double s) { plan_seconds_ += s; }
 
-  /// Guarded execution mode: a bitmask of apl::verify::Check values.
-  /// Initialized from OPAL_VERIFY at context construction; the off state
-  /// costs one integer test per check site and never allocates.
+  /// Guarded execution mode: a bitmask of apl::verify::Check values, the
+  /// one switch that checks kernels against their declarations (kAccess,
+  /// kStencil, ...). Initialized from OPAL_VERIFY at context construction;
+  /// the off state costs one integer test per check site and never
+  /// allocates.
   unsigned verify_checks() const { return verify_checks_; }
   void set_verify(unsigned mask) { verify_checks_ = mask; }
   bool verifying(verify::Check kind) const {
@@ -288,7 +285,6 @@ protected:
 
 private:
   Backend backend_ = Backend::kSeq;
-  bool debug_checks_ = false;
   bool lazy_ = false;
   unsigned verify_checks_ = verify::checks_from_env();
   verify::Report verify_report_;

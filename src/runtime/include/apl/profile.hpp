@@ -62,8 +62,8 @@ struct LoopStats {
 /// Lifetime rule: a LoopStats& obtained from stats() stays valid until
 /// clear() — node insertion never moves map values, but clear() destroys
 /// them all. Code that must survive a clear() while timing (anything
-/// holding a timer across user callbacks) uses the (Profile&, name)
-/// ScopedLoopTimer form, which re-resolves the entry when it closes.
+/// holding a timer across user callbacks) uses ScopedLoopTimer, which
+/// re-resolves the entry by name when it closes.
 class Profile {
 public:
   Profile() = default;
@@ -105,25 +105,20 @@ private:
 };
 
 /// RAII accumulator: adds elapsed time (and one call) to a loop's stats on
-/// destruction. Two forms:
-///  - ScopedLoopTimer(stats): caller guarantees the LoopStats outlives the
-///    timer (i.e. no Profile::clear() while open).
-///  - ScopedLoopTimer(profile, name): clear()-safe — the entry is looked
-///    up again at destruction, so a clear() during the timed section just
-///    means the elapsed time lands in a fresh entry instead of a dangling
-///    one. The runtime's par_loop paths use this form because user kernels
-///    (which run inside the timed section) may legitimately reset profiles.
+/// destruction. clear()-safe: the entry is looked up by name at
+/// destruction, so a clear() during the timed section just means the
+/// elapsed time lands in a fresh entry instead of a dangling one. User
+/// kernels (which run inside the timed section) may legitimately reset
+/// profiles.
 class ScopedLoopTimer {
 public:
-  explicit ScopedLoopTimer(LoopStats& s);
   ScopedLoopTimer(Profile& p, std::string loop_name);
   ~ScopedLoopTimer();
   ScopedLoopTimer(const ScopedLoopTimer&) = delete;
   ScopedLoopTimer& operator=(const ScopedLoopTimer&) = delete;
 
 private:
-  LoopStats* stats_ = nullptr;    ///< direct form (lifetime on the caller)
-  Profile* profile_ = nullptr;    ///< re-resolving form
+  Profile* profile_;
   std::string name_;
   double start_;
 };

@@ -28,6 +28,7 @@
 #pragma once
 
 #include <cstddef>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -82,6 +83,8 @@ public:
   const Entry* find(std::string_view loop, Check kind) const;
 
   /// Records a violation, merging with an existing (loop, kind) entry.
+  /// Safe to call from concurrent team members (a checked threads-backend
+  /// loop fails on several workers at once).
   void add(std::string_view loop, Check kind, std::string detail);
 
   /// Records the violation and throws apl::Error("verify(<kind>): ...").
@@ -90,6 +93,7 @@ public:
 
 private:
   std::vector<Entry> entries_;
+  std::mutex mutex_;  ///< guards add() against concurrent team members
 };
 
 }  // namespace apl::verify

@@ -55,17 +55,14 @@ Profile& Profile::global() {
   return p;
 }
 
-ScopedLoopTimer::ScopedLoopTimer(LoopStats& s)
-    : stats_(&s), start_(now_seconds()) {}
-
 ScopedLoopTimer::ScopedLoopTimer(Profile& p, std::string loop_name)
     : profile_(&p), name_(std::move(loop_name)), start_(now_seconds()) {}
 
 ScopedLoopTimer::~ScopedLoopTimer() {
-  // The re-resolving form looks the entry up now, not at construction:
-  // Profile::clear() may have destroyed (or recreated) the LoopStats the
-  // name referred to while this timer was open.
-  LoopStats& s = profile_ ? profile_->stats(name_) : *stats_;
+  // Looked up now, not at construction: Profile::clear() may have
+  // destroyed (or recreated) the LoopStats the name referred to while this
+  // timer was open.
+  LoopStats& s = profile_->stats(name_);
   s.seconds += now_seconds() - start_;
   ++s.calls;
 }

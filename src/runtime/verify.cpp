@@ -64,6 +64,7 @@ const Entry* Report::find(std::string_view loop, Check kind) const {
 }
 
 void Report::add(std::string_view loop, Check kind, std::string detail) {
+  const std::lock_guard<std::mutex> lock(mutex_);
   for (Entry& e : entries_) {
     if (e.kind == kind && e.loop == loop) {
       ++e.count;

@@ -251,7 +251,7 @@ INSTANTIATE_TEST_SUITE_P(Ranks, CloverDist, ::testing::Values(2, 4));
 
 TEST(CloverDist, StencilChecksPassInDebugMode) {
   CloverOps app(small_opts(10));
-  app.ctx().set_debug_checks(true);
+  app.ctx().set_verify(app.ctx().verify_checks() | apl::verify::kStencil);
   // Every kernel's accesses must be inside its declared stencils.
   EXPECT_NO_THROW(app.run(2));
 }

@@ -4,13 +4,19 @@
 #include "op2/dist.hpp"
 
 #include <cmath>
+#include <cstring>
+#include <filesystem>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "op2/op2.hpp"
+#include "apl/fault.hpp"
+#include "apl/io/plan_cache.hpp"
 #include "apl/testkit/fixtures.hpp"
+#include "apl/trace.hpp"
 
 namespace {
 
@@ -75,10 +81,12 @@ std::vector<double> reference_sweep(int sweeps) {
   return out;
 }
 
-std::vector<double> distributed_sweep(int sweeps, int nranks,
-                                      PartitionMethod method,
-                                      apl::exec::Backend node_backend,
-                                      std::uint64_t* halo_messages = nullptr) {
+/// `rank_coords`, if given, receives each rank's copy of the coordinates
+/// dat (owned nodes first, then ghosts): the rank's ownership, by value.
+std::vector<double> distributed_sweep(
+    int sweeps, int nranks, PartitionMethod method,
+    apl::exec::Backend node_backend, std::uint64_t* halo_messages = nullptr,
+    std::vector<std::vector<double>>* rank_coords = nullptr) {
   DistHarness h;
   op2::Distributed dist(h.ctx, nranks, method, *h.nodes, h.x);
   dist.set_node_backend(node_backend);
@@ -111,6 +119,11 @@ std::vector<double> distributed_sweep(int sweeps, int nranks,
   }
   dist.fetch(*h.q);
   if (halo_messages) *halo_messages = dist.comm().traffic().messages();
+  for (int r = 0; rank_coords != nullptr && r < nranks; ++r) {
+    rank_coords->push_back(static_cast<op2::Dat<double>&>(
+                               dist.rank_context(r).dat(h.x->id()))
+                               .to_vector());
+  }
   auto out = h.q->to_vector();
   out.push_back(rms);
   return out;
@@ -161,6 +174,101 @@ TEST(Distributed, SingleRankNeedsNoMessages) {
   distributed_sweep(2, 1, PartitionMethod::kBlock, apl::exec::Backend::kSeq,
                     &messages);
   EXPECT_EQ(messages, 0u);
+}
+
+// The base-set partition persists in the plan cache: a cold run stores
+// it, a warm run loads it instead of repartitioning, and a blob corrupted
+// on disk is noted and repartitioned fresh. Every run gives each rank the
+// same elements and computes the same bits.
+TEST(Distributed, PartitionCacheColdWarmAndCorrupt) {
+  using apl::plan_cache::Store;
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "op2_partition_cache")
+          .string();
+  std::filesystem::remove_all(dir);
+  Store store(dir);
+  const Store::ScopedStore scope(&store);
+  apl::trace::Recorder& rec = apl::trace::Recorder::global();
+  struct Run {
+    std::vector<double> result;
+    std::vector<std::vector<double>> coords;
+    std::size_t built = 0, hit = 0, stored = 0;  // spans of the base set
+  };
+  const auto run = [&] {
+    Run r;
+    rec.clear();
+    rec.set_enabled(true);
+    r.result = distributed_sweep(2, 4, PartitionMethod::kKway,
+                                 apl::exec::Backend::kSeq, nullptr,
+                                 &r.coords);
+    rec.set_enabled(false);
+    for (const auto& e : rec.snapshot()) {
+      r.built += e.name == "part:nodes";
+      r.hit += e.name == "part_hit:nodes";
+      r.stored += e.name == "plan_store:part:nodes";
+    }
+    rec.clear();
+    return r;
+  };
+  const auto same_bits = [](const std::vector<double>& a,
+                            const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+
+  const Run cold = run();
+  EXPECT_EQ(store.stats().stores, 1u);
+  EXPECT_EQ(store.stats().hits, 0u);
+  EXPECT_EQ(cold.built, 1u);
+  EXPECT_EQ(cold.stored, 1u);
+
+  store.reset_stats();
+  const Run warm = run();
+  EXPECT_EQ(store.stats().hits, 1u);
+  EXPECT_EQ(store.stats().stores, 0u);
+  EXPECT_EQ(warm.hit, 1u);
+  EXPECT_EQ(warm.built, 0u) << "warm start repartitioned";
+  EXPECT_EQ(warm.coords, cold.coords) << "warm ownership differs";
+  EXPECT_TRUE(same_bits(warm.result, cold.result));
+
+  // Re-populate with a bit flipped in the stored payload past its CRC.
+  std::filesystem::remove_all(dir);
+  apl::fault::Injector::global().arm(
+      apl::fault::parse_config("corrupt_plan_cache=4"));
+  run();
+  apl::fault::Injector::global().disarm();
+  store.reset_stats();
+  const Run fresh = run();
+  EXPECT_EQ(store.stats().corrupt, 1u) << "corrupt blob not detected";
+  EXPECT_EQ(store.stats().stores, 1u);
+  EXPECT_EQ(fresh.built, 1u);
+  EXPECT_EQ(fresh.coords, cold.coords);
+  EXPECT_TRUE(same_bits(fresh.result, cold.result));
+  std::filesystem::remove_all(dir);
+}
+
+// decode_partition accepts only an owner vector of the set's size with
+// every entry a rank; anything else is a named miss.
+TEST(Distributed, DecodePartitionValidatesOwners) {
+  const auto blob = [](const std::vector<index_t>& owner) {
+    apl::plan_cache::BlobWriter w;
+    w.section_of<index_t>(0x4F574E52, owner);  // the "OWNR" section
+    return w.take();
+  };
+  std::string diag;
+  const auto ok = op2::decode_partition(blob({0, 1, 1, 0}), 4, 2, &diag);
+  ASSERT_TRUE(ok.has_value()) << diag;
+  EXPECT_EQ(*ok, (std::vector<index_t>{0, 1, 1, 0}));
+  for (const auto& owner : {std::vector<index_t>{0, 1, 1},
+                            std::vector<index_t>{0, 1, 2, 0},
+                            std::vector<index_t>{0, -1, 1, 0}}) {
+    EXPECT_FALSE(op2::decode_partition(blob(owner), 4, 2, &diag));
+    EXPECT_EQ(diag, "partition blob fails owner validation");
+  }
+  std::vector<std::uint8_t> truncated = blob({0, 1, 1, 0});
+  truncated.resize(truncated.size() - 3);
+  EXPECT_FALSE(op2::decode_partition(truncated, 4, 2, &diag));
+  EXPECT_FALSE(diag.empty());
 }
 
 TEST(Distributed, PartitionCoversEverythingOnce) {

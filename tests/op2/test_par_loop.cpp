@@ -277,11 +277,13 @@ TEST(CudaSim, StagingOnOffSameResults) {
   }
 }
 
-// ---- debug consistency checks ---------------------------------------------
+// ---- consistency checks (apl::verify::kAccess) ----------------------------
+// Each test ORs kAccess into the checks already on (OPAL_VERIFY), so an
+// OPAL_VERIFY=all run keeps the others.
 
 TEST(DebugChecks, CatchesKernelWritingReadOnlyArg) {
   Harness h;
-  h.ctx.set_debug_checks(true);
+  h.ctx.set_verify(h.ctx.verify_checks() | apl::verify::kAccess);
   EXPECT_THROW(
       op2::par_loop(h.ctx, "evil", *h.nodes,
                     [](op2::Acc<double> q) { q[0] = -1.0; },
@@ -289,15 +291,15 @@ TEST(DebugChecks, CatchesKernelWritingReadOnlyArg) {
       apl::Error);
 }
 
-// Every backend hands a kRead global to the kernel as the caller's data,
-// so the check sees a write through it. One element writes and none
-// reads, so the kernel is race-free on the threads backend.
+// kAccess is honoured whatever backend the context is set to: the guard
+// runs its own sequential schedule, so a write through a kRead global is
+// caught on every backend.
 TEST(DebugChecks, CatchesKernelWritingReadOnlyGlobalOnEveryBackend) {
   for (Backend b : {Backend::kSeq, Backend::kSimd, Backend::kThreads,
                     Backend::kCudaSim}) {
     Harness h;
     h.ctx.set_backend(b);
-    h.ctx.set_debug_checks(true);
+    h.ctx.set_verify(h.ctx.verify_checks() | apl::verify::kAccess);
     std::vector<double> ids(static_cast<std::size_t>(h.nodes->size()));
     for (std::size_t i = 0; i < ids.size(); ++i) {
       ids[i] = static_cast<double>(i);
@@ -320,7 +322,7 @@ TEST(DebugChecks, CatchesKernelWritingReadOnlyGlobalOnEveryBackend) {
 
 TEST(DebugChecks, PassesWellBehavedKernel) {
   Harness h;
-  h.ctx.set_debug_checks(true);
+  h.ctx.set_verify(h.ctx.verify_checks() | apl::verify::kAccess);
   EXPECT_NO_THROW(op2::par_loop(
       h.ctx, "good", *h.nodes,
       [](op2::Acc<double> q, op2::Acc<double> r) { r[0] = q[0]; },

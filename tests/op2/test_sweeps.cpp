@@ -89,7 +89,7 @@ TEST(AirfoilSweep, RenumberingComposesWithEveryBackend) {
 
 TEST(AirfoilSweep, DebugChecksPassOnRealApplication) {
   airfoil::Airfoil app;
-  app.ctx().set_debug_checks(true);
+  app.ctx().set_verify(app.ctx().verify_checks() | apl::verify::kAccess);
   EXPECT_NO_THROW(app.run(2));
 }
 

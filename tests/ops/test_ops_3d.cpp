@@ -142,7 +142,7 @@ TEST(Ops3D, ReductionOverVolume) {
 
 TEST(Ops3D, StencilCheckerWorksIn3D) {
   Heat3D h(5);
-  h.ctx.set_debug_checks(true);
+  h.ctx.set_verify(h.ctx.verify_checks() | apl::verify::kStencil);
   EXPECT_THROW(
       ops::par_loop(h.ctx, "evil3d", *h.grid,
                     ops::Range::dim3(0, 3, 0, 3, 0, 3),

@@ -1,6 +1,6 @@
 // ops::par_loop semantics: kernel accessor correctness, reductions,
-// arg_idx, cross-backend equivalence on a heat-equation sweep, stencil
-// debug checking.
+// arg_idx, cross-backend equivalence on a heat-equation sweep, the
+// apl::verify::kStencil checker.
 #include <cmath>
 #include <vector>
 
@@ -90,16 +90,16 @@ TEST(OpsParLoop, ArgIdxReportsGlobalIndices) {
 }
 
 // arg_idx under the threads backend: every worker must see its own grid
-// indices. The checked path (debug checks) hands the kernel a pointer per
-// point; a kernel that reads idx[0], works a while, then reads idx[1]
-// exposes any index buffer the workers share.
+// indices. The checked path (apl::verify::kStencil) hands the kernel a
+// pointer per point; a kernel that reads idx[0], works a while, then reads
+// idx[1] exposes any index buffer the workers share.
 TEST(OpsParLoop, ArgIdxIsPerWorkerOnThreadsBackend) {
   if (apl::ThreadPool::global().size() < 2) {
     GTEST_SKIP() << "needs a thread pool of at least two workers";
   }
   apl::testkit::HeatGrid g(64, 512);
   g.ctx.set_backend(ops::Backend::kThreads);
-  g.ctx.set_debug_checks(true);
+  g.ctx.set_verify(g.ctx.verify_checks() | apl::verify::kStencil);
   ops::par_loop(g.ctx, "init", *g.grid, g.interior(),
                 [](ops::Acc<double> u, const int* idx) {
                   const int i = idx[0];
@@ -176,7 +176,7 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, OpsBackends,
 
 TEST(OpsParLoop, StencilCheckerCatchesUndeclaredAccess) {
   HeatFixture h;
-  h.ctx.set_debug_checks(true);
+  h.ctx.set_verify(h.ctx.verify_checks() | apl::verify::kStencil);
   // Kernel reads offset (1,1) which the 5-point stencil does not declare.
   EXPECT_THROW(
       ops::par_loop(h.ctx, "evil", *h.grid, ops::Range::dim2(0, 4, 0, 4),

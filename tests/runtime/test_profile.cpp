@@ -11,14 +11,14 @@ namespace {
 
 TEST(Profile, AccumulatesCallsAndTime) {
   apl::Profile prof;
-  auto& s = prof.stats("res_calc");
   {
-    apl::ScopedLoopTimer t(s);
+    apl::ScopedLoopTimer t(prof, "res_calc");
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   {
-    apl::ScopedLoopTimer t(s);
+    apl::ScopedLoopTimer t(prof, "res_calc");
   }
+  const auto& s = prof.stats("res_calc");
   EXPECT_EQ(s.calls, 2u);
   EXPECT_GT(s.seconds, 0.004);
 }
@@ -98,7 +98,7 @@ TEST(Profile, LongNamesKeepColumnsAligned) {
 TEST(Profile, ClearDuringOpenTimerIsSafe) {
   apl::Profile prof;
   {
-    // The (Profile&, name) form re-resolves the entry when it closes, so a
+    // The timer re-resolves the entry when it closes, so a
     // clear() below the open timer must not write into a freed LoopStats.
     apl::ScopedLoopTimer t(prof, "loop_that_clears");
     prof.clear();

@@ -12,7 +12,8 @@
 //   kPlan    — audit flags a tampered coloring; a real plan audits clean.
 //   kHalo    — owner values changed behind the dirty-bit tracking are
 //              reported as stale ghost copies (OP2 and OPS).
-//   kStencil — an access outside the declared stencil names dat + stencil.
+//   kStencil — an access outside the declared stencil names dat + stencil,
+//              on seq, threads and lazy tiles.
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -312,6 +313,40 @@ TEST(VerifyOpsStencil, AccessOutsideDeclaredStencilIsCaught) {
   ASSERT_NE(e, nullptr);
   EXPECT_NE(e->detail.find("dat 'u'"), std::string::npos);
   EXPECT_NE(e->detail.find("(1,0,0)"), std::string::npos);
+}
+
+// The checked instantiation also runs the threads backend's work units
+// (64x64 points: four units, so workers may fail at once) and a queued
+// loop's tiles; each path records the violation before throwing.
+TEST(VerifyOpsStencil, ViolationIsRecordedOnThreadsAndLazy) {
+  struct Path {
+    const char* name;
+    ops::Backend backend;
+    bool lazy;
+  };
+  for (const Path& path : {Path{"seq", ops::Backend::kSeq, false},
+                           Path{"threads", ops::Backend::kThreads, false},
+                           Path{"lazy", ops::Backend::kSeq, true}}) {
+    OpsGrid g(64, 64);
+    g.ctx.set_backend(path.backend);
+    g.ctx.set_lazy(path.lazy);
+    g.ctx.set_verify(verify::kStencil);
+    EXPECT_APL_ERROR(
+        "outside declared stencil 'centre'",
+        ops::par_loop(g.ctx, "bad_stencil", *g.grid,
+                      ops::Range::dim2(0, g.nx, 0, g.ny),
+                      [](ops::Acc<double> u, ops::Acc<double> t) {
+                        t(0, 0) = u(0, 1);
+                      },
+                      ops::arg(*g.u, *g.centre, Access::kRead),
+                      ops::arg(*g.t, Access::kWrite));
+        g.ctx.flush());
+    const verify::Entry* e =
+        g.ctx.verify_report().find("bad_stencil", verify::kStencil);
+    ASSERT_NE(e, nullptr) << path.name;
+    EXPECT_NE(e->detail.find("dat 'u'"), std::string::npos) << path.name;
+    EXPECT_NE(e->detail.find("(0,1,0)"), std::string::npos) << path.name;
+  }
 }
 
 TEST(VerifyOpsAccess, WriteThroughReadOnlyArgIsCaught) {

@@ -27,8 +27,8 @@
 // hang and a rank-death tenant) through one apl::serve server and fails
 // unless the healthy tenants reproduce their solo digests bitwise, the
 // crash is retried, the hang is stopped by the watchdog, and nothing
-// else fails. The table carries throughput, latency and
-// isolation-overhead columns either way.
+// else fails. The table carries throughput and latency columns either
+// way.
 // --check-op2-tiling runs the same Airfoil mesh eager and lazy-tiled
 // (op2 sparse tiling, DESIGN.md §15) and fails unless every chain fused
 // (zero verbatim replays), the inspector projected a traffic saving, and
@@ -285,14 +285,13 @@ void print_resilience(const ResilienceProbe& p) {
       p.bitwise_identical ? "identical" : "DIVERGED");
 }
 
-// ---- serve: multi-tenant throughput, latency and isolation overhead --------
+// ---- serve: multi-tenant throughput, latency and isolation ------------------
 
 /// One server soak: a mixed tenant population (all three proxy apps) plus
 /// a chaos subset (crash / hang / rank death) through one apl::serve
 /// server. The gate demands bitwise isolation for the healthy tenants and
 /// the named verdicts for the chaos ones; the columns record service
-/// throughput, per-job latency, and the overhead of the per-job isolation
-/// scopes relative to an unserved solo run.
+/// throughput and per-job latency.
 struct ServeProbe {
   int jobs = 0;
   std::uint64_t completed = 0;
@@ -304,9 +303,6 @@ struct ServeProbe {
   double throughput_jobs_per_second = 0.0;
   double mean_latency_seconds = 0.0;  // admission -> terminal, completed jobs
   double max_latency_seconds = 0.0;
-  double solo_seconds = 0.0;          // one warm airfoil run, no server
-  double served_seconds = 0.0;        // the same run as a lone tenant
-  double isolation_overhead = 0.0;    // served/solo - 1 (scope machinery)
   bool digests_match = false;         // healthy tenants == solo, bitwise
   bool hang_stopped = false;          // watchdog ended the hung tenant
 
@@ -316,8 +312,8 @@ struct ServeProbe {
   }
 };
 
-/// Runs a job body outside any server (reference digest + wall time).
-std::string serve_solo(const apl::serve::JobSpec& spec, double* seconds) {
+/// Runs a job body outside any server (reference digest).
+std::string serve_solo(const apl::serve::JobSpec& spec) {
   const std::string base =
       (std::filesystem::temp_directory_path() /
        ("bench_serve_solo_" + spec.name))
@@ -327,9 +323,7 @@ std::string serve_solo(const apl::serve::JobSpec& spec, double* seconds) {
   apl::cancel::Token token;
   apl::cancel::Scope scope(&token);  // as the server would install it
   apl::serve::JobContext jc(spec.name, store, token, 0);
-  const double t0 = apl::now_seconds();
   std::string digest = spec.work(jc);
-  if (seconds != nullptr) *seconds = apl::now_seconds() - t0;
   store.remove_files();
   return digest;
 }
@@ -341,22 +335,17 @@ ServeProbe probe_serve() {
   const serve::AirfoilJob airfoil_shape{};
   const serve::CloverJob clover_shape{};
   const serve::MiniHydraJob hydra_shape{};
-  // One untimed airfoil run first, so the timed solo run below is as warm
-  // (first allocations, process pools, code pages) as the served one it
-  // is compared with.
-  serve_solo(serve::make_airfoil_job("warmup", airfoil_shape), nullptr);
   const std::string airfoil_solo =
-      serve_solo(serve::make_airfoil_job("ref-a", airfoil_shape),
-                 &p.solo_seconds);
+      serve_solo(serve::make_airfoil_job("ref-a", airfoil_shape));
   const std::string clover_solo =
-      serve_solo(serve::make_clover_job("ref-c", clover_shape), nullptr);
+      serve_solo(serve::make_clover_job("ref-c", clover_shape));
   const std::string hydra_solo =
-      serve_solo(serve::make_minihydra_job("ref-h", hydra_shape), nullptr);
+      serve_solo(serve::make_minihydra_job("ref-h", hydra_shape));
 
-  // Isolation overhead: the same airfoil run as the only tenant of an
-  // otherwise idle single-worker server. Everything the service wraps
-  // around a body (token, injector, policy, plan scopes, checkpoint
-  // namespace) is in the difference.
+  // The same airfoil run as the only tenant of an otherwise idle
+  // single-worker server must reproduce the solo digest: everything the
+  // service wraps around a body (token, injector, policy, plan scopes,
+  // checkpoint namespace) leaves the result untouched.
   {
     serve::Server::Options opts;
     opts.workers = 1;
@@ -364,12 +353,9 @@ ServeProbe probe_serve() {
     const auto id = server.submit(
         serve::make_airfoil_job("overhead", airfoil_shape));
     const serve::JobReport rep = server.wait(id);
-    p.served_seconds = rep.run_seconds;
     p.digests_match = rep.state == serve::State::kDone &&
                       rep.result == airfoil_solo;
   }
-  p.isolation_overhead =
-      p.solo_seconds > 0.0 ? p.served_seconds / p.solo_seconds - 1.0 : 0.0;
 
   // The soak proper: healthy tenants of every app family sharing the
   // server with a crash, a hang and a rank death.
@@ -441,16 +427,14 @@ void print_serve(const ServeProbe& p) {
   std::printf(
       "serve            %d tenants: %llu done / %llu failed / %llu "
       "cancelled, %llu retries, %llu watchdog kills, %.2f jobs/s, "
-      "latency mean %.3fs max %.3fs, isolation overhead %.1f%%, "
-      "digests %s\n",
+      "latency mean %.3fs max %.3fs, digests %s\n",
       p.jobs, static_cast<unsigned long long>(p.completed),
       static_cast<unsigned long long>(p.failed),
       static_cast<unsigned long long>(p.cancelled),
       static_cast<unsigned long long>(p.retries),
       static_cast<unsigned long long>(p.watchdog_kills),
       p.throughput_jobs_per_second, p.mean_latency_seconds,
-      p.max_latency_seconds, 100.0 * p.isolation_overhead,
-      p.digests_match ? "identical" : "DIVERGED");
+      p.max_latency_seconds, p.digests_match ? "identical" : "DIVERGED");
 }
 
 // ---- op2 tiling: eager vs lazy-tiled Airfoil, fused-chain columns ----------

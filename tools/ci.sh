@@ -69,7 +69,7 @@ OPAL_TRACE="$build/tier1.trace.json" ctest --test-dir "$build" -L tier1 \
 # tenant mix (all three proxy apps) with a crash, a hang and a rank death
 # injected into SOME tenants while the rest must finish with solo-identical
 # digests; bench_report --check-serve gates the same invariants and prints
-# the throughput / latency / isolation-overhead columns.
+# the throughput / latency columns.
 "$build/examples/opal_serve" 2 3 > /dev/null
 "$build/tools/bench_report" --check-serve
 
