@@ -37,7 +37,7 @@ int main() {
   // ---- 1. block size vs colors of the res_calc plan.
   std::printf("\n[1] two-level coloring: block size vs block colors"
               " (res_calc plan)\n");
-  for (op2::index_t bs : {32, 64, 128, 256, 512}) {
+  for (op2::index_t bs : {32, 64, 128, 256, 512, 1024, 4096}) {
     airfoil::Airfoil app(opts);
     app.ctx().set_block_size(bs);
     app.ctx().set_backend(apl::exec::Backend::kThreads);

@@ -238,19 +238,20 @@ class SaveReplay {
   io::File replay_file_;  ///< the loaded checkpoint, kept for entry
 };
 
-/// SaveReplay bound to a front end's context: the constructors, `restore`
-/// and dataset hooks every front-end Checkpointer shares. `Ctx` provides
-/// num_dats(), dat(id), find_dat(name) and attach_checkpointer(Self*);
-/// the front end's pack_dat/unpack_dat pair is found by argument-dependent
-/// lookup; `Self` derives from this class, befriends it and provides
-/// `static std::vector<ArgAccess> project(const std::vector<ArgInfo>&)`.
+/// SaveReplay bound to a front end's context: `restore` and the dataset
+/// hooks every front-end Checkpointer shares. `Ctx` provides num_dats(),
+/// dat(id) and find_dat(name); the front end's pack_dat/unpack_dat pair is
+/// found by argument-dependent lookup. `Self` derives from this class,
+/// befriends it, provides
+/// `static std::vector<ArgAccess> project(const std::vector<ArgInfo>&)`
+/// and a (ctx, path, opts, replay) constructor that attaches the finished
+/// object to its context (only `Self` can: the base runs before it exists).
 template <class Self, class Ctx>
 class Checkpointer : public SaveReplay {
  public:
-  /// Fresh run: record the chain, save to the `path` slot files when
-  /// requested.
-  Checkpointer(Ctx& ctx, std::string path, Options opts = {})
-      : Checkpointer(ctx, std::move(path), opts, /*replay=*/false) {}
+  /// The context holds this object's address, so it never moves.
+  Checkpointer(const Checkpointer&) = delete;
+  Checkpointer& operator=(const Checkpointer&) = delete;
 
   /// Restart: fast-forward (replaying logged global outputs) to the saved
   /// entry loop, then restore datasets and resume normal execution. Loads
@@ -269,9 +270,7 @@ class Checkpointer : public SaveReplay {
  protected:
   Checkpointer(Ctx& ctx, std::string path, Options opts, bool replay)
       : SaveReplay(std::move(path), opts, ctx.num_dats(), replay),
-        ctx_(&ctx) {
-    ctx.attach_checkpointer(static_cast<Self*>(this));
-  }
+        ctx_(&ctx) {}
 
   Ctx* ctx_;
 

@@ -13,6 +13,8 @@
 #pragma once
 
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "apl/ckpt.hpp"
@@ -30,11 +32,22 @@ void unpack_dat(DatBase& dat, std::span<const std::uint8_t> bytes);
 
 class Checkpointer final
     : public apl::ckpt::Checkpointer<Checkpointer, Context> {
+  using Base = apl::ckpt::Checkpointer<Checkpointer, Context>;
+
 public:
-  using apl::ckpt::Checkpointer<Checkpointer, Context>::Checkpointer;
+  /// Fresh run: record the chain, save to the `path` slot files when
+  /// requested.
+  Checkpointer(Context& ctx, std::string path, Options opts = {})
+      : Checkpointer(ctx, std::move(path), opts, /*replay=*/false) {}
 
 private:
-  friend apl::ckpt::Checkpointer<Checkpointer, Context>;
+  friend Base;
+
+  /// Attaches to `ctx` once this object is fully constructed.
+  Checkpointer(Context& ctx, std::string path, Options opts, bool replay)
+      : Base(ctx, std::move(path), opts, replay) {
+    ctx.attach_checkpointer(this);
+  }
 
   /// Projects the OP2 descriptors onto the library-agnostic form; map id
   /// and component are folded into `aux` so chain equality stays exact.

@@ -79,6 +79,8 @@ public:
   Map* find_map(const std::string& name);
 
   // ---- execution configuration (beyond the apl::exec::ExecContext base)
+  /// Elements per plan block (default 4096): the threads backend's unit
+  /// of work and cudasim's staged thread block.
   index_t block_size() const { return block_size_; }
   void set_block_size(index_t b);
   /// cudasim: stage indirect data through shared memory (Fig. 7
@@ -212,7 +214,7 @@ private:
   std::vector<std::unique_ptr<Set>> sets_;
   std::vector<std::unique_ptr<Map>> maps_;
   std::vector<std::unique_ptr<DatBase>> dats_;
-  index_t block_size_ = 256;
+  index_t block_size_ = 4096;
   bool staging_ = true;
   std::vector<std::pair<PlanKey, std::unique_ptr<Plan>>> plans_;
   std::map<std::string, DeviceReport> device_reports_;

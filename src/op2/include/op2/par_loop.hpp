@@ -12,8 +12,13 @@
 //                lanes, scatter results (increments applied serially).
 //   run_threads  the OpenMP structure: execute the two-level-colored plan,
 //                blocks of one color in parallel across the thread pool,
-//                with per-block partials for global reductions, folded
-//                in block order (bitwise the same for every team size).
+//                each block through run_seq_range (the seq loop, hoisted
+//                and flattened), with per-block partials for global
+//                reductions, folded in block order (bitwise the same for
+//                every team size). Blocks default to 4096 elements
+//                (Context::block_size): small blocks scatter one cell's
+//                edges over many colors, so every color sweep streams the
+//                cell data again.
 //   run_cudasim  the CUDA structure: thread blocks stage indirect data
 //                through "shared memory", per-element increments commit in
 //                intra-block color order, and a warp-granular transaction
@@ -129,9 +134,9 @@ Acc<T> seq_param(std::nullptr_t, ArgGbl<T>& g, index_t /*e*/) {
 
 // `flatten` inlines the kernel and accessors so the generated loop matches
 // a hand-written loop nest (see ops/par_loop.hpp for the same pattern).
-// The range form is the tile executor's slice runner (op2/lazy.hpp):
-// elements [lo, hi) in ascending order, exactly the eager order restricted
-// to the slice.
+// The range form runs the tile executor's slices (op2/lazy.hpp) and the
+// threads backend's plan blocks: elements [lo, hi) in ascending order,
+// exactly the eager order restricted to the range.
 template <class Kernel, class... Args>
 #if defined(__GNUC__)
 [[gnu::flatten]]
@@ -187,10 +192,8 @@ void run_threads(Context& ctx, const std::string& name, const Set& /*set*/,
             for (std::size_t bi = b0; bi < b1; ++bi) {
               const index_t b = blocks[bi];
               const auto run = [&](auto&&... as) {
-                for (index_t e = plan.block_offset[b];
-                     e < plan.block_offset[b + 1]; ++e) {
-                  k(element_acc(as, e)...);
-                }
+                run_seq_range(plan.block_offset[b], plan.block_offset[b + 1],
+                              k, as...);
               };
               run(apl::exec::thaw(u, static_cast<std::size_t>(b))...);
             }

@@ -18,6 +18,8 @@
 
 #include <array>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "apl/ckpt.hpp"
@@ -35,8 +37,13 @@ void unpack_dat(DatBase& dat, std::span<const std::uint8_t> bytes);
 
 class Checkpointer final
     : public apl::ckpt::Checkpointer<Checkpointer, Context> {
+  using Base = apl::ckpt::Checkpointer<Checkpointer, Context>;
+
 public:
-  using apl::ckpt::Checkpointer<Checkpointer, Context>::Checkpointer;
+  /// Fresh run: record the chain, save to the `path` slot files when
+  /// requested.
+  Checkpointer(Context& ctx, std::string path, Options opts = {})
+      : Checkpointer(ctx, std::move(path), opts, /*replay=*/false) {}
 
   /// Requests a checkpoint (a flush point for the lazy engine); with
   /// speculative mode entry may be deferred by up to one period.
@@ -59,7 +66,13 @@ public:
                         int ndim);
 
 private:
-  friend apl::ckpt::Checkpointer<Checkpointer, Context>;
+  friend Base;
+
+  /// Attaches to `ctx` once this object is fully constructed.
+  Checkpointer(Context& ctx, std::string path, Options opts, bool replay)
+      : Base(ctx, std::move(path), opts, replay) {
+    ctx.attach_checkpointer(this);
+  }
 
   /// Projects the OPS descriptors onto the library-agnostic form. ArgIdx
   /// pseudo-arguments carry no data access and are skipped; the stencil id

@@ -148,6 +148,8 @@ inline std::optional<Divergence> run_op2_oracle(const Op2CaseSpec& spec,
        false, true, 0, 0},
       {{"threads-bs4", Reorders::kAll, false}, Backend::kThreads, false, 4,
        false, true, 0, 0},
+      {{"threads-bs64", Reorders::kAll, false}, Backend::kThreads, false, 64,
+       false, true, 0, 0},
       {{"cudasim", Reorders::kAll, false}, Backend::kCudaSim, false, 0,
        false, true, 0, 0},
       {{"soa", Reorders::kNone, false}, Backend::kSeq, true, 0, false, true,

@@ -5,8 +5,12 @@
 #include "minihydra/minihydra.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
+
+#include "apl/testkit/compare.hpp"
+#include "apl/testkit/oracle.hpp"
 
 namespace {
 
@@ -67,6 +71,39 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, MiniHydraBackends,
                          [](const auto& info) {
                            return op2::to_string(info.param);
                          });
+
+// The benchmark's colored configuration: renumbered, threads backend, the
+// context's default plan block size. 240x120 cells give ~57k edges, so the
+// edge loops run several blocks per color. Threads-backend bits do not
+// depend on the team size (ThreadsReductions.BitwiseAcrossTeamSizes);
+// tests/CMakeLists.txt also runs this case with a team of 1.
+TEST(MiniHydra, ThreadsAtDefaultBlockSizeMatchesSeqWithinUlps) {
+  MiniHydra::Options o;
+  o.nx = 240;
+  o.ny = 120;
+  MiniHydra ref(o);
+  ref.renumber();
+  const double rms_ref = ref.run(2);
+  const auto q_ref = ref.solution();
+
+  MiniHydra app(o);
+  app.renumber();
+  app.ctx().set_backend(apl::exec::Backend::kThreads);
+  const double rms = app.run(2);
+  const auto q = app.solution();
+  // Colored increments reassociate, so the bound is the testkit's budget,
+  // counted at the operands' scale 1 + |ref| as in the Airfoil RCB test.
+  const std::int64_t max_ulps = apl::testkit::OracleOptions{}.max_ulps;
+  EXPECT_TRUE(apl::testkit::values_agree(rms_ref, rms, true, max_ulps))
+      << apl::testkit::ulp_distance(rms_ref, rms) << " ulps";
+  const double tol = static_cast<double>(max_ulps) *
+                     std::numeric_limits<double>::epsilon();
+  ASSERT_EQ(q.size(), q_ref.size());
+  for (std::size_t i = 0; i < q_ref.size(); ++i) {
+    ASSERT_LE(std::abs(q[i] - q_ref[i]), tol * (1 + std::abs(q_ref[i])))
+        << i;
+  }
+}
 
 TEST(MiniHydra, DistributedMatchesSeq) {
   MiniHydra ref(small_opts());

@@ -136,7 +136,7 @@ TEST_F(PlanFixture, PlansAreCachedBySignature) {
 TEST_F(PlanFixture, BlockSizeChangeInvalidatesCache) {
   const auto args = inc_args(*q, *e2n);
   const op2::Plan& p1 = ctx.plan_for({"loop", edges, args});
-  EXPECT_EQ(p1.block_size, 256);
+  EXPECT_EQ(p1.block_size, 4096);
   ctx.set_block_size(32);
   const op2::Plan& p2 = ctx.plan_for({"loop", edges, args});
   EXPECT_EQ(p2.block_size, 32);

@@ -3,11 +3,14 @@
 //
 //   OPAL_NUM_THREADS=N team_reduction_bits
 //
-// stdout carries one line per reduction (hex bit patterns); stderr names
-// the team size the process pool actually has. tests/runtime/team_bits.cmake
-// runs it at 1, 2 and 4 members and fails unless stdout is identical. The
-// inputs are irrational-looking values, so a kInc sum reassociated by a
-// different partition of the work changes its low bits.
+// stdout carries one line per reduction (hex bit patterns), then the rms
+// and a digest of every solution bit of a renumbered MiniHydra stepped on
+// the threads backend at the context's default plan block size; stderr
+// names the team size the process pool actually has.
+// tests/runtime/team_bits.cmake runs it at 1, 2 and 4 members and fails
+// unless stdout is identical. The inputs are irrational-looking values, so
+// a kInc sum reassociated by a different partition of the work changes its
+// low bits.
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -16,8 +19,10 @@
 #include <string>
 #include <vector>
 
+#include "apl/signature.hpp"
 #include "apl/testkit/fixtures.hpp"
 #include "apl/thread_pool.hpp"
+#include "minihydra/minihydra.hpp"
 #include "op2/op2.hpp"
 #include "ops/ops.hpp"
 
@@ -110,6 +115,24 @@ void ops_reductions(const std::string& tag, int ndim, ops::index_t nx,
   print(tag + " min", &mn, 1);
 }
 
+// Colored indirect increments end to end: 240x120 cells give ~57k edges,
+// so the edge loops' plans have several 4096-element blocks per color.
+void hydra_solution() {
+  minihydra::MiniHydra::Options opts;
+  opts.nx = 240;
+  opts.ny = 120;
+  minihydra::MiniHydra app(opts);
+  app.renumber();
+  app.ctx().set_backend(Backend::kThreads);
+  const double rms = app.run(2);
+  print("hydra rms", &rms, 1);
+  const std::vector<double> q = app.solution();
+  apl::signature::Hasher h;
+  h.span(std::span<const double>(q));
+  std::printf("hydra solution %zu values digest %016llx\n", q.size(),
+              static_cast<unsigned long long>(h.value()));
+}
+
 }  // namespace
 
 int main() {
@@ -119,5 +142,6 @@ int main() {
   ops_reductions("ops 2d one row", 2, 40000, 1, 1);
   ops_reductions("ops 2d", 2, 37, 600, 1);
   ops_reductions("ops 3d", 3, 37, 23, 20);
+  hydra_solution();
   return 0;
 }
