@@ -87,7 +87,7 @@ void ablations(Checks& c) {
       if (renumbered) op2::renumber_mesh(app.ctx(), app.edge2cell_map());
       app.ctx().set_backend(apl::exec::Backend::kCudaSim);
       app.run(1);
-      return app.ctx().device_reports().at("res_calc").efficiency;
+      return app.ctx().profile().all().at("res_calc").device_efficiency();
     };
     const double natural = efficiency(false, false);
     const double shuffled = efficiency(true, false);

@@ -15,7 +15,6 @@
 // perfbench metric (ROADMAP), not a projection — so the model prints one
 // bar for both.
 #include <cstdio>
-#include <utility>
 
 #include "apl/graph/partition.hpp"
 #include "common.hpp"
@@ -24,26 +23,18 @@
 namespace bench {
 namespace {
 
-/// Useful and moved DRAM bytes of every cudasim launch so far.
-std::pair<double, double> device_bytes(minihydra::MiniHydra& app) {
-  double useful = 0, moved = 0;
-  for (const auto& [name, rep] : app.ctx().device_reports()) {
-    useful += static_cast<double>(rep.useful_bytes);
-    moved += static_cast<double>(rep.transactions) * 128;
-  }
-  return {useful, moved};
-}
-
-/// DRAM-transaction efficiency of one cudasim iteration. Device reports
-/// accumulate over the context's life, so the iteration's share is the
-/// difference of the totals around it.
+/// DRAM-transaction efficiency of one cudasim iteration, over every loop.
 double gather_efficiency(minihydra::MiniHydra& app) {
-  const auto [useful0, moved0] = device_bytes(app);
+  app.ctx().profile().clear();
   app.ctx().set_backend(apl::exec::Backend::kCudaSim);
   app.run(1);
   app.ctx().set_backend(apl::exec::Backend::kSeq);
-  const auto [useful1, moved1] = device_bytes(app);
-  return moved1 > moved0 ? (useful1 - useful0) / (moved1 - moved0) : 1.0;
+  apl::LoopStats total;
+  for (const auto& [name, s] : app.ctx().profile().all()) {
+    total.device_bytes += s.device_bytes;
+    total.device_useful_bytes += s.device_useful_bytes;
+  }
+  return total.device_efficiency();
 }
 
 /// Halo cells of MiniHydra's cells cut into 12 ranks by `method`.

@@ -27,10 +27,9 @@ LayoutResult measure(op2::Layout layout, bool staging) {
   app.ctx().convert_layout(layout);
   app.run(1);
   // res_calc is the Fig. 7 loop: 4-component q/res accessed indirectly.
-  const auto& rep = app.ctx().device_reports().at("res_calc");
   const auto& stats = app.ctx().profile().all().at("res_calc");
-  return {static_cast<double>(rep.transactions), rep.efficiency,
-          stats.model_seconds * 1e3};
+  return {static_cast<double>(stats.device_transactions),
+          stats.device_efficiency(), stats.model_seconds * 1e3};
 }
 
 }  // namespace

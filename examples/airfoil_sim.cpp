@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
               opts.ny, airfoil::Constants{}.mach, iters);
 
   for (const apl::exec::Backend backend :
-       {apl::exec::Backend::kSeq, apl::exec::Backend::kSimd, apl::exec::Backend::kThreads,
+       {apl::exec::Backend::kSeq, apl::exec::Backend::kThreads,
         apl::exec::Backend::kCudaSim}) {
     airfoil::Airfoil app(opts);
     app.ctx().set_backend(backend);

@@ -5,7 +5,7 @@
 //
 // Declares one block, one dataset with a 1-deep halo, a 5-point stencil,
 // and runs Jacobi sweeps as ops::par_loop calls. Switching the backend
-// (seq / simd / threads / cudasim) changes nothing in the application,
+// (seq / threads / cudasim) changes nothing in the application,
 // and neither does turning on lazy execution: par_loop then queues loops
 // and the chain runs — tiled for cache residency — at the next flush
 // point (here: the residual reduction each sweep).
@@ -34,7 +34,8 @@ int main() {
                 ops::arg(u, ops::Access::kWrite),
                 ops::arg_idx());
 
-  // One-line backend switch; APL_BACKEND=seq|simd|threads|cudasim wins.
+  // One-line backend switch; APL_BACKEND=seq|threads|cudasim wins
+  // (any other name throws apl::Error).
   ctx.set_backend(
       apl::exec::backend_from_env(apl::exec::Backend::kThreads));
   ctx.set_lazy(true);  // queue loops; flush points execute the chain tiled

@@ -29,6 +29,7 @@ constexpr std::size_t kManifestBytes = 4 + 4 + 8 + 4 + 4;
 
 void append_bytes(std::vector<std::uint8_t>& out, const void* p,
                   std::size_t n) {
+  if (n == 0) return;  // p may be an empty vector's null data()
   const std::size_t pos = out.size();
   out.resize(pos + n);
   std::memcpy(out.data() + pos, p, n);

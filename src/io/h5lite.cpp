@@ -41,6 +41,7 @@ const std::array<std::array<std::uint32_t, 256>, 8>& crc_tables() {
 
 void append_bytes(std::vector<std::uint8_t>& out, const void* p,
                   std::size_t n) {
+  if (n == 0) return;  // p may be an empty vector's null data()
   const std::size_t pos = out.size();
   out.resize(pos + n);
   std::memcpy(out.data() + pos, p, n);
@@ -99,6 +100,7 @@ class Reader {
  private:
   void take(const char* what, std::size_t n, std::uint8_t* dst) {
     if (n > remaining()) parse_fail(what);
+    if (n == 0) return;  // dst may be an empty vector's null data()
     std::memcpy(dst, bytes_.data() + pos_, n);
     pos_ += n;
   }
@@ -169,7 +171,9 @@ void File::put(const std::string& name, std::span<const T> data,
   ds.dtype = dtype_of<T>();
   ds.dims = std::move(dims);
   ds.bytes.resize(data.size() * sizeof(T));
-  std::memcpy(ds.bytes.data(), data.data(), ds.bytes.size());
+  if (!ds.bytes.empty()) {  // an empty vector's data() may be null
+    std::memcpy(ds.bytes.data(), data.data(), ds.bytes.size());
+  }
   datasets_[name] = std::move(ds);
 }
 
@@ -179,7 +183,7 @@ std::vector<T> File::get(const std::string& name) const {
   require(ds.dtype == dtype_of<T>(), "h5lite: dtype mismatch reading '", name,
           "'");
   std::vector<T> out(ds.bytes.size() / sizeof(T));
-  std::memcpy(out.data(), ds.bytes.data(), ds.bytes.size());
+  if (!out.empty()) std::memcpy(out.data(), ds.bytes.data(), ds.bytes.size());
   return out;
 }
 

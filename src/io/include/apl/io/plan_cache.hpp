@@ -119,7 +119,7 @@ class SectionReader {
     const std::size_t n = b_.size() - off_;
     if (n % sizeof(T) != 0) return false;
     out->resize(n / sizeof(T));
-    std::memcpy(out->data(), b_.data() + off_, n);
+    if (n != 0) std::memcpy(out->data(), b_.data() + off_, n);
     off_ = b_.size();
     return true;
   }

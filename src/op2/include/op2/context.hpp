@@ -31,13 +31,6 @@ namespace op2 {
 
 class Checkpointer;
 
-/// Per-loop device-model report filled in by the cudasim backend.
-struct DeviceReport {
-  std::uint64_t transactions = 0;
-  std::uint64_t useful_bytes = 0;
-  double efficiency = 1.0;  ///< useful / transferred bytes
-};
-
 /// The unified execution API (backend selection, apl::verify checking,
 /// lazy mode, profile, flop hints) and the lazy chain engine (queue, flush
 /// points, resume, chain stats) are the apl::chain::Engine base's
@@ -143,12 +136,6 @@ public:
   /// their own partition, which is what makes plan-cache keys
   /// partition-aware in the distributed layer.
   std::uint64_t topology_hash() const;
-  DeviceReport& device_report(const std::string& loop_name) {
-    return device_reports_[loop_name];
-  }
-  const std::map<std::string, DeviceReport>& device_reports() const {
-    return device_reports_;
-  }
 
   /// Number of distinct elements `map` reaches — the unique-data volume an
   /// indirect argument moves (cached; used for useful-byte accounting).
@@ -217,7 +204,6 @@ private:
   index_t block_size_ = 4096;
   bool staging_ = true;
   std::vector<std::pair<PlanKey, std::unique_ptr<Plan>>> plans_;
-  std::map<std::string, DeviceReport> device_reports_;
   mutable std::map<index_t, index_t> unique_targets_cache_;
   mutable std::optional<std::uint64_t> topology_hash_;
   Checkpointer* checkpointer_ = nullptr;

@@ -78,15 +78,10 @@ class Context;
 /// with a global reduction, `split` gives each of a fused walk's tiles
 /// its own partials and `commit` stores the result in the caller's target
 /// (apl::exec, when apl/chain.hpp says); both are no-ops otherwise.
-/// `simd_pack_safe` is false when some dat is both read and written with
-/// an indirect side — packed execution could then pair conflicting
-/// elements a pack never pairs eagerly, so tiled slices fall back to
-/// ordered scalar execution.
 struct LoopRecord {
   std::string name;
   const Set* set = nullptr;
   index_t n = 0;  ///< core_size at enqueue time
-  bool simd_pack_safe = true;
   std::vector<ArgInfo> infos;
   std::function<void()> run_full;
   std::function<void(index_t lo, index_t hi, index_t tile)> run_slice;

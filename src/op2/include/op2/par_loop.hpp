@@ -7,9 +7,6 @@
 //
 //   run_seq      the human-readable reference loop ("recommended for
 //                debugging"): compute pointers, call the user function.
-//   run_simd     the vectorized CPU structure: gather a pack of elements
-//                into contiguous aligned staging, run the kernel on the
-//                lanes, scatter results (increments applied serially).
 //   run_threads  the OpenMP structure: execute the two-level-colored plan,
 //                blocks of one color in parallel across the thread pool,
 //                each block through run_seq_range (the seq loop, hoisted
@@ -25,13 +22,12 @@
 //                model prices every access (Fig. 7's three variants are
 //                layout kAoS / kSoA / staging on).
 //
-// All four execute the same user kernel and must agree with run_seq to
+// All three execute the same user kernel and must agree with run_seq to
 // floating-point reordering; the cross-backend equivalence tests enforce
 // this.
 #pragma once
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -55,8 +51,6 @@ namespace op2 {
 
 namespace detail {
 
-inline constexpr index_t kSimdWidth = 8;
-
 // ---- accessor construction -------------------------------------------
 
 template <class T>
@@ -68,26 +62,6 @@ Acc<T> element_acc(const ArgDat<T>& a, index_t e) {
 template <class T>
 Acc<T> element_acc(ArgGbl<T>& g, index_t /*e*/) {
   return Acc<T>(g.data, 1);
-}
-
-// ---- lazy-chain enqueue support (op2/lazy.hpp) -----------------------------
-
-/// False when packed (SIMD) execution of a slice could pair elements that
-/// conflict through a dat some argument reads live (not the kInc
-/// zero-identity) while another writes it with an indirect side — the
-/// gather would then stage values an earlier packmate still has to write.
-/// Such loops run tile slices through run_seq_range instead.
-inline bool simd_pack_safe(const std::vector<ArgInfo>& infos) {
-  for (const ArgInfo& w : infos) {
-    if (w.is_gbl || !writes(w.acc)) continue;
-    for (const ArgInfo& r : infos) {
-      if (r.is_gbl || r.dat_id != w.dat_id) continue;
-      if (!reads(r.acc) || r.acc == apl::exec::Access::kInc) continue;
-      if (&r == &w && !w.indirect()) continue;  // direct RW touches own entry
-      if (w.indirect() || r.indirect()) return false;
-    }
-  }
-  return true;
 }
 
 // ---- sequential backend --------------------------------------------------
@@ -204,116 +178,6 @@ void run_threads(Context& ctx, const std::string& name, const Set& /*set*/,
   apl::exec::commit_all(units);
   ctx.profile().stats(name).colors +=
       static_cast<std::uint64_t>(plan.num_block_colors);
-}
-
-// ---- simd backend ----------------------------------------------------------
-
-// Staging state for one argument across a pack of kSimdWidth lanes. Data is
-// gathered lane-major (lane l's components contiguous) so the kernel sees
-// stride-1 accessors into aligned staging, the shape OP2's vectorized code
-// generation produces.
-template <class T>
-struct SimdStage {
-  ArgDat<T>* a;
-  apl::aligned_vector<T> buf;
-};
-template <class T>
-struct SimdGblStage {
-  ArgGbl<T>* g;
-};
-
-template <class T>
-SimdStage<T> make_stage(ArgDat<T>& a) {
-  return {&a, apl::aligned_vector<T>(
-                  static_cast<std::size_t>(kSimdWidth) * a.dat->dim())};
-}
-template <class T>
-SimdGblStage<T> make_stage(ArgGbl<T>& g) {
-  return {&g};
-}
-
-template <class T>
-void stage_gather(SimdStage<T>& st, index_t e0, index_t lanes) {
-  const ArgDat<T>& a = *st.a;
-  const index_t dim = a.dat->dim();
-  for (index_t l = 0; l < lanes; ++l) {
-    T* out = st.buf.data() + static_cast<std::size_t>(l) * dim;
-    if (a.acc == apl::exec::Access::kInc) {
-      std::fill_n(out, dim, T{});
-    } else {
-      const Acc<T> in = element_acc(a, e0 + l);
-      for (index_t d = 0; d < dim; ++d) out[d] = in[d];
-    }
-  }
-}
-template <class T>
-void stage_gather(SimdGblStage<T>&, index_t, index_t) {}
-
-// Scatters one lane of one argument. The pack commits element-major (lane
-// outer, argument inner, see run_simd): committing argument-major instead
-// reorders increments when two lanes hit the same indirect target through
-// different argument slots, silently breaking bitwise agreement with
-// run_seq (found by the testkit oracle, minimal repro: one arity-2
-// scatter over a 4-element set, APL_TESTKIT_SEED=1).
-template <class T>
-void stage_scatter_lane(SimdStage<T>& st, index_t e0, index_t l) {
-  const ArgDat<T>& a = *st.a;
-  if (!writes(a.acc)) return;
-  const index_t dim = a.dat->dim();
-  const T* in = st.buf.data() + static_cast<std::size_t>(l) * dim;
-  const Acc<T> out = element_acc(a, e0 + l);
-  if (a.acc == apl::exec::Access::kInc) {
-    for (index_t d = 0; d < dim; ++d) out[d] += in[d];
-  } else {
-    for (index_t d = 0; d < dim; ++d) out[d] = in[d];
-  }
-}
-template <class T>
-void stage_scatter_lane(SimdGblStage<T>&, index_t, index_t) {}
-
-template <class T>
-Acc<T> lane_acc(SimdStage<T>& st, index_t l) {
-  return Acc<T>(st.buf.data() + static_cast<std::size_t>(l) * st.a->dat->dim(),
-                1);
-}
-template <class T>
-Acc<T> lane_acc(SimdGblStage<T>& st, index_t /*l*/) {
-  return Acc<T>(st.g->data, 1);
-}
-
-// Range form for tile slices. Pack grouping shifts with `lo`, but results
-// do not depend on it: gathers stage either a live value no packmate
-// writes (LoopRecord::simd_pack_safe gates the conflicting case to
-// run_seq_range) or the kInc zero-identity, and scatters commit
-// element-major — so lane arithmetic happens in ascending element order
-// regardless of where packs begin, bitwise-matching the eager pass.
-template <class Kernel, class... Args>
-void run_simd_range(index_t lo, index_t hi, Kernel&& k, Args&... args) {
-  auto stages = std::make_tuple(make_stage(args)...);
-  for (index_t e0 = lo; e0 < hi; e0 += kSimdWidth) {
-    index_t lanes = std::min<index_t>(kSimdWidth, hi - e0);
-#ifdef APL_MUTATE_OP2_SIMD_TAIL
-    // Mutation hook for the testkit smoke tests: drop the last lane of the
-    // final pack, simulating a remainder-loop bug in the vectorizer.
-    if (e0 + lanes >= hi) --lanes;
-#endif
-    std::apply(
-        [&](auto&... st) {
-          (stage_gather(st, e0, lanes), ...);
-          for (index_t l = 0; l < lanes; ++l) {
-            k(lane_acc(st, l)...);
-          }
-          for (index_t l = 0; l < lanes; ++l) {
-            (stage_scatter_lane(st, e0, l), ...);
-          }
-        },
-        stages);
-  }
-}
-
-template <class Kernel, class... Args>
-void run_simd(const Set& set, Kernel&& k, Args&... args) {
-  run_simd_range(0, set.core_size(), k, args...);
 }
 
 // ---- cudasim backend --------------------------------------------------------
@@ -458,9 +322,6 @@ void run_backend(Context& ctx, const std::string& name, const Set& set,
     case apl::exec::Backend::kSeq:
       run_seq(set, k, args...);
       break;
-    case apl::exec::Backend::kSimd:
-      run_simd(set, k, args...);
-      break;
     case apl::exec::Backend::kThreads:
       run_threads(ctx, name, set, ctx.plan_for({name, &set, infos}), k,
                   args...);
@@ -516,7 +377,6 @@ void par_loop(Context& ctx, const std::string& name, const Set& set,
       rec.name = name;
       rec.set = &set;
       rec.n = set.core_size();
-      rec.simd_pack_safe = detail::simd_pack_safe(infos);
       rec.infos = infos;
       // Globals are snapshotted now (apl::exec::freeze): the caller may
       // reuse a kRead variable before the flush, and a reduction's target
@@ -545,8 +405,7 @@ void par_loop(Context& ctx, const std::string& name, const Set& set,
             },
             *frozen);
       };
-      rec.run_slice = [&ctx, name, pack_safe = rec.simd_pack_safe,
-                       kernel = kernel,
+      rec.run_slice = [&ctx, name, kernel = kernel,
                        frozen](index_t lo, index_t hi, index_t tile) {
         std::apply(
             [&](auto&... fz) {
@@ -555,16 +414,10 @@ void par_loop(Context& ctx, const std::string& name, const Set& set,
                 tile_span.set_elements(static_cast<std::uint64_t>(hi - lo));
                 tile_span.set_index(lo);
                 const double t0 = apl::now_seconds();
-                // Fused tiles run slices in eager element order; only the
-                // pack-safe SIMD case may group lanes (bitwise-neutral,
-                // see run_simd_range). Same-color slices may run on team
-                // members concurrently (op2/lazy.cpp's round executor).
-                if (ctx.backend() == apl::exec::Backend::kSimd &&
-                    pack_safe) {
-                  detail::run_simd_range(lo, hi, kernel, as...);
-                } else {
-                  detail::run_seq_range(lo, hi, kernel, as...);
-                }
+                // Fused tiles run slices in eager element order. Same-color
+                // slices may run on team members concurrently (op2/lazy.cpp's
+                // round executor).
+                detail::run_seq_range(lo, hi, kernel, as...);
                 // add_seconds, not stats().seconds +=: concurrent members
                 // would otherwise race on the map and lose increments.
                 ctx.profile().add_seconds(name, apl::now_seconds() - t0);

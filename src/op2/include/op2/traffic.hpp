@@ -27,8 +27,8 @@ void account_traffic(Context& ctx, const std::string& name, const Set& set,
 
 /// cudasim only: replays the loop's access streams through the warp
 /// transaction model (apl::simdev), honouring layout and staging, and
-/// records transactions + model time into the Context's DeviceReport and
-/// stats.model_seconds.
+/// adds its transactions, moved and useful bytes and model time to
+/// `stats`.
 void account_device(Context& ctx, const std::string& name, const Set& set,
                     const std::vector<ArgInfo>& args, apl::LoopStats& stats);
 

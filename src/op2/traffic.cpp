@@ -177,10 +177,9 @@ void account_device(Context& ctx, const std::string& name, const Set& set,
     }
   }
 
-  DeviceReport& report = ctx.device_report(name);
-  report.transactions += tc.transactions();
-  report.useful_bytes += tc.useful_bytes();
-  report.efficiency = tc.efficiency();
+  stats.device_transactions += tc.transactions();
+  stats.device_bytes += tc.bytes();
+  stats.device_useful_bytes += tc.useful_bytes();
   stats.model_seconds +=
       static_cast<double>(tc.bytes()) / kDeviceBw +
       kLaunchOverhead * std::max<index_t>(1, plan.num_block_colors);

@@ -31,8 +31,7 @@ inline constexpr int kMaxDim = 3;
 
 /// Deprecated aliases of the unified execution vocabulary (apl/exec.hpp);
 /// kept for one release — new code should spell them apl::exec::Access /
-/// apl::exec::Backend. OPS executes Backend::kSimd as kSeq: structured
-/// loops are unit-stride along x and auto-vectorize.
+/// apl::exec::Backend.
 using Access = apl::exec::Access;
 using Backend = apl::exec::Backend;
 

@@ -233,8 +233,6 @@ void execute_loop(Context& ctx, const Range& range, int out_dim,
   };
   switch (ctx.backend()) {
     case Backend::kSeq:
-    case Backend::kSimd:     // structured loops are unit-stride along x and
-                             // auto-vectorize — kSimd is kSeq here
     case Backend::kCudaSim:  // same host execution; device model in account()
       span(range.lo[out_dim], range.hi[out_dim], args...);
       break;

@@ -16,7 +16,7 @@ namespace {
 
 // Alphabetical; known_keys() returns it verbatim.
 constexpr KeyInfo kRegistry[] = {
-    {"APL_BACKEND", "default execution backend: seq|simd|threads|cudasim"},
+    {"APL_BACKEND", "default execution backend: seq|threads|cudasim"},
     {"APL_TESTKIT_SEED", "replay a testkit differential case by seed"},
     {"OPAL_CHECK_FINITE", "scan checkpoint payloads for NaN/Inf on write"},
     {"OPAL_FAULTS", "deterministic fault-injection spec (apl::fault)"},

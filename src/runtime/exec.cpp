@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "apl/config.hpp"
+#include "apl/error.hpp"
 
 namespace apl::exec {
 
@@ -21,7 +22,6 @@ const char* to_string(Access a) {
 const char* to_string(Backend b) {
   switch (b) {
     case Backend::kSeq: return "seq";
-    case Backend::kSimd: return "simd";
     case Backend::kThreads: return "threads";
     case Backend::kCudaSim: return "cudasim";
   }
@@ -30,7 +30,6 @@ const char* to_string(Backend b) {
 
 std::optional<Backend> backend_from_string(std::string_view name) {
   if (name == "seq") return Backend::kSeq;
-  if (name == "simd") return Backend::kSimd;
   if (name == "threads") return Backend::kThreads;
   if (name == "cudasim") return Backend::kCudaSim;
   return std::nullopt;
@@ -38,8 +37,11 @@ std::optional<Backend> backend_from_string(std::string_view name) {
 
 Backend backend_from_env(Backend fallback) {
   const auto name = apl::config::string_value("APL_BACKEND");
-  if (!name) return fallback;
-  return backend_from_string(*name).value_or(fallback);
+  if (!name || name->empty()) return fallback;
+  const std::optional<Backend> b = backend_from_string(*name);
+  apl::require(b.has_value(), "APL_BACKEND: unknown backend '", *name,
+               "' (expected seq|threads|cudasim)");
+  return *b;
 }
 
 }  // namespace apl::exec

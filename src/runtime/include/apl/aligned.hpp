@@ -1,7 +1,7 @@
 // Cache-line / SIMD aligned storage.
 //
-// Dats and staging buffers are 64-byte aligned so that the simd backend's
-// pack loops and the simdev coalescing model see the alignment a real
+// Dats and staging buffers are 64-byte aligned so that auto-vectorized
+// loops and the simdev coalescing model see the alignment a real
 // vectorized backend would arrange for.
 #pragma once
 

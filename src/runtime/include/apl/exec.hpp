@@ -44,16 +44,17 @@ enum class Access { kRead, kWrite, kInc, kRW, kMin, kMax };
 /// The target-specific parallelizations the "code generator" (the par_loop
 /// templates) can produce — the generated per-platform source files of the
 /// paper's Fig. 1:
-///   kSeq     — human-readable single-threaded reference (debugging)
-///   kSimd    — gather/compute/scatter structure of the vectorized CPU
-///              code (OP2; OPS loops are unit-stride and auto-vectorize,
-///              so OPS executes kSimd as kSeq)
+///   kSeq     — human-readable single-threaded reference (debugging); the
+///              compiler auto-vectorizes it where the loop allows, so
+///              there is no separate vectorized backend
 ///   kThreads — OpenMP-style execution (colored plan / row splitting)
 ///   kCudaSim — the CUDA execution strategy run on host with a device
 ///              timing model
 /// The distributed-memory (MPI) layer composes with these node-level
-/// backends, as in the real libraries.
-enum class Backend { kSeq, kSimd, kThreads, kCudaSim };
+/// backends, as in the real libraries. The values are pinned: op2 hashes
+/// them into persisted plan-cache keys, so a renumbering would let a
+/// cached entry be read under another backend's key.
+enum class Backend { kSeq = 0, kThreads = 2, kCudaSim = 3 };
 
 const char* to_string(Access a);
 const char* to_string(Backend b);
@@ -207,12 +208,13 @@ void commit_all(Frozen& frozen) {
   std::apply([](auto&... a) { (commit(a), ...); }, frozen);
 }
 
-/// Parses a backend name ("seq", "simd", "threads", "cudasim");
-/// std::nullopt if the spelling is unknown.
+/// Parses a backend name ("seq", "threads", "cudasim"); std::nullopt if
+/// the spelling is unknown.
 std::optional<Backend> backend_from_string(std::string_view name);
 
-/// Backend selection from the environment: reads APL_BACKEND and falls
-/// back to `fallback` when unset or unparseable.
+/// Backend selection from the environment: reads APL_BACKEND, returns
+/// `fallback` when it is unset or empty, and throws apl::Error naming the
+/// value when it is not a backend name.
 Backend backend_from_env(Backend fallback = Backend::kSeq);
 
 /// Execution configuration common to both libraries' Contexts: backend

@@ -35,9 +35,23 @@ struct LoopStats {
   std::uint64_t halo_bytes = 0;      ///< bytes exchanged for this loop (mpi)
   std::uint64_t colors = 0;          ///< total plan colors executed
   double model_seconds = 0.0;  ///< device-model time (cudasim backend)
+  /// Warp-transaction model totals (op2 cudasim): DRAM transactions, the
+  /// bytes they move, and the bytes the kernel asked for.
+  std::uint64_t device_transactions = 0;
+  std::uint64_t device_bytes = 0;
+  std::uint64_t device_useful_bytes = 0;
 
   std::uint64_t bytes() const {
     return bytes_direct + bytes_gather + bytes_scatter;
+  }
+
+  /// Fraction of moved device bytes the kernel asked for, over every
+  /// modelled launch since the last clear() (1.0 == perfectly coalesced,
+  /// and when nothing was modelled).
+  double device_efficiency() const {
+    return device_bytes > 0 ? static_cast<double>(device_useful_bytes) /
+                                  static_cast<double>(device_bytes)
+                            : 1.0;
   }
 
   /// The loop's authoritative timebase. Backends that execute on a modelled

@@ -45,7 +45,8 @@ public:
   std::uint64_t write_transactions() const { return write_transactions_; }
 
   /// Fraction of transferred bytes the kernel asked for (1.0 == perfectly
-  /// coalesced). The Fig. 7 bench reports this per layout strategy.
+  /// coalesced); apl::LoopStats::device_efficiency is the same ratio over
+  /// a loop's launches.
   double efficiency() const {
     return bytes() > 0
                ? static_cast<double>(useful_bytes_) / static_cast<double>(bytes())

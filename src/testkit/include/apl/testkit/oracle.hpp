@@ -115,7 +115,7 @@ inline std::optional<Divergence> run_op2_oracle(const Op2CaseSpec& spec,
   // snapshot reads every dat, which is a flush point and would collapse
   // every chain to length 1); `tile` forces a small tile size so the tiny
   // generated meshes genuinely fuse instead of degenerating to one tile.
-  // Order-preserving sparse tiling keeps seq/simd lazy-tiled dats
+  // Order-preserving sparse tiling keeps seq lazy-tiled dats
   // bitwise, and reassociates only reductions (per-tile partials); the
   // threads-backend variant also reorders scatters (unfused fallback
   // chains run through the colored plan executor).
@@ -142,8 +142,6 @@ inline std::optional<Divergence> run_op2_oracle(const Op2CaseSpec& spec,
     int team;
   };
   const Plain plains[] = {
-      {{"simd", Reorders::kNone, false}, Backend::kSimd, false, 0, false,
-       true, 0, 0},
       {{"threads", Reorders::kAll, false}, Backend::kThreads, false, 0,
        false, true, 0, 0},
       {{"threads-bs4", Reorders::kAll, false}, Backend::kThreads, false, 4,
@@ -158,8 +156,6 @@ inline std::optional<Divergence> run_op2_oracle(const Op2CaseSpec& spec,
        true, false, 0, 0},
       {{"lazy-tiled", Reorders::kReductions, true}, Backend::kSeq, false, 0,
        true, true, 5, 0},
-      {{"lazy-tiled-simd", Reorders::kReductions, true}, Backend::kSimd,
-       false, 0, true, true, 5, 0},
       {{"lazy-tiled-threads", Reorders::kAll, true}, Backend::kThreads,
        false, 0, true, true, 5, 0},
       {{"lazy-tiled-threads-exec-t1", Reorders::kReductions, true},
@@ -430,7 +426,6 @@ inline std::optional<Divergence> run_ops_oracle(const OpsCaseSpec& spec,
     bool tiling;
   };
   const Plain plains[] = {
-      {{"simd", Reorders::kNone, false}, Backend::kSimd, false, true},
       {{"threads", Reorders::kAll, false}, Backend::kThreads, false, true},
       {{"cudasim", Reorders::kAll, false}, Backend::kCudaSim, false, true},
       {{"lazy-untiled", Reorders::kNone, true}, Backend::kSeq, true, false},

@@ -160,8 +160,7 @@ TEST_P(AirfoilBackends, MatchesSeq) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, AirfoilBackends,
-                         ::testing::Values(apl::exec::Backend::kSimd,
-                                           apl::exec::Backend::kThreads,
+                         ::testing::Values(apl::exec::Backend::kThreads,
                                            apl::exec::Backend::kCudaSim),
                          [](const auto& info) {
                            return op2::to_string(info.param);

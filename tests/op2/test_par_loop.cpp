@@ -17,8 +17,8 @@ using apl::exec::Access;
 using apl::exec::Backend;
 using op2::index_t;
 
-constexpr Backend kAllBackends[] = {Backend::kSeq, Backend::kSimd,
-                                    Backend::kThreads, Backend::kCudaSim};
+constexpr Backend kAllBackends[] = {Backend::kSeq, Backend::kThreads,
+                                    Backend::kCudaSim};
 
 struct Harness {
   explicit Harness(index_t nx = 6, index_t ny = 5)
@@ -277,6 +277,39 @@ TEST(CudaSim, StagingOnOffSameResults) {
   }
 }
 
+// The device-model totals live in the loop's LoopStats, so profile().clear()
+// resets them: the efficiency read after a clear and one launch is that
+// launch's alone, not a running mean with the launches before the clear.
+TEST(CudaSim, EfficiencyAfterClearIsTheNextLaunchAlone) {
+  const auto gather = [](Harness& h, bool staging) {
+    h.ctx.set_backend(Backend::kCudaSim);
+    h.ctx.set_staging(staging);
+    op2::par_loop(h.ctx, "gather", *h.edges,
+                  [](op2::Acc<double> a, op2::Acc<double> b,
+                     op2::Acc<double> r) { r[0] += a[0] + b[1]; },
+                  op2::arg(*h.x, *h.e2n, 0, Access::kRead),
+                  op2::arg(*h.x, *h.e2n, 1, Access::kRead),
+                  op2::arg(*h.res, *h.e2n, 0, Access::kInc));
+    return h.ctx.profile().all().at("gather");
+  };
+  Harness alone;
+  const apl::LoopStats staged = gather(alone, true);
+
+  Harness h;
+  const apl::LoopStats plain = gather(h, false);
+  ASSERT_NE(plain.device_efficiency(), staged.device_efficiency());
+  const apl::LoopStats both = gather(h, true);
+  EXPECT_EQ(both.device_transactions,
+            plain.device_transactions + staged.device_transactions);
+
+  h.ctx.profile().clear();
+  const apl::LoopStats after = gather(h, true);
+  EXPECT_EQ(after.device_transactions, staged.device_transactions);
+  EXPECT_EQ(after.device_bytes, staged.device_bytes);
+  EXPECT_EQ(after.device_useful_bytes, staged.device_useful_bytes);
+  EXPECT_EQ(after.device_efficiency(), staged.device_efficiency());
+}
+
 // ---- consistency checks (apl::verify::kAccess) ----------------------------
 // Each test ORs kAccess into the checks already on (OPAL_VERIFY), so an
 // OPAL_VERIFY=all run keeps the others.
@@ -295,8 +328,7 @@ TEST(DebugChecks, CatchesKernelWritingReadOnlyArg) {
 // runs its own sequential schedule, so a write through a kRead global is
 // caught on every backend.
 TEST(DebugChecks, CatchesKernelWritingReadOnlyGlobalOnEveryBackend) {
-  for (Backend b : {Backend::kSeq, Backend::kSimd, Backend::kThreads,
-                    Backend::kCudaSim}) {
+  for (Backend b : {Backend::kSeq, Backend::kThreads, Backend::kCudaSim}) {
     Harness h;
     h.ctx.set_backend(b);
     h.ctx.set_verify(h.ctx.verify_checks() | apl::verify::kAccess);

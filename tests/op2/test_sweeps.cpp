@@ -38,8 +38,7 @@ TEST_P(AirfoilConfigSweep, SamePhysicsEveryConfiguration) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllConfigs, AirfoilConfigSweep,
-    ::testing::Combine(::testing::Values(Backend::kSeq, Backend::kSimd,
-                                         Backend::kThreads,
+    ::testing::Combine(::testing::Values(Backend::kSeq, Backend::kThreads,
                                          Backend::kCudaSim),
                        ::testing::Values(Layout::kAoS, Layout::kSoA),
                        ::testing::Values(32, 256)),
@@ -69,15 +68,15 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(3, apl::graph::PartitionMethod::kKway,
                         Backend::kSeq),
         std::make_tuple(5, apl::graph::PartitionMethod::kKway,
-                        Backend::kSimd),
+                        Backend::kSeq),
         std::make_tuple(4, apl::graph::PartitionMethod::kKway,
                         Backend::kThreads),
         std::make_tuple(2, apl::graph::PartitionMethod::kBlock,
                         Backend::kCudaSim)));
 
 TEST(AirfoilSweep, RenumberingComposesWithEveryBackend) {
-  for (const Backend b : {Backend::kSeq, Backend::kSimd, Backend::kThreads,
-                          Backend::kCudaSim}) {
+  for (const Backend b :
+       {Backend::kSeq, Backend::kThreads, Backend::kCudaSim}) {
     airfoil::Airfoil app;
     op2::renumber_mesh(app.ctx(), app.edge2cell_map());
     app.ctx().set_backend(b);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "apl/error.hpp"
+#include "apl/exec.hpp"
 
 namespace {
 
@@ -132,6 +133,35 @@ TEST(Config, UnregisteredKeyIsAProgrammingError) {
   // silently reading nothing.
   EXPECT_THROW((void)apl::config::string_value("OPAL_NO_SUCH_KNOB"),
                apl::Error);
+}
+
+TEST(Config, BackendFromEnvRejectsUnknownNames) {
+  using apl::exec::Backend;
+  for (const char* bad : {"simd", "bogus"}) {
+    EnvVar set("APL_BACKEND", bad);
+    try {
+      (void)apl::exec::backend_from_env();
+      FAIL() << "APL_BACKEND=" << bad << " accepted";
+    } catch (const apl::Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(bad), std::string::npos) << what;
+      EXPECT_NE(what.find("seq|threads|cudasim"), std::string::npos) << what;
+    }
+  }
+  {
+    EnvVar set("APL_BACKEND", "threads");
+    EXPECT_EQ(apl::exec::backend_from_env(), Backend::kThreads);
+  }
+  {
+    EnvVar unset("APL_BACKEND", nullptr);
+    EXPECT_EQ(apl::exec::backend_from_env(Backend::kCudaSim),
+              Backend::kCudaSim);
+  }
+  {
+    EnvVar empty("APL_BACKEND", "");
+    EXPECT_EQ(apl::exec::backend_from_env(Backend::kCudaSim),
+              Backend::kCudaSim);
+  }
 }
 
 }  // namespace
